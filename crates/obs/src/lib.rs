@@ -71,6 +71,7 @@
 //! | `pragformer_serve_cache_misses_total` | counter | `server` | serve: advice-cache misses |
 //! | `pragformer_serve_cache_evictions_total` | counter | `server` | serve: advice-cache evictions |
 //! | `pragformer_serve_http_requests_total` | counter | `path` | serve: HTTP requests on the NDJSON port |
+//! | `pragformer_serve_rejected_lines_total` | counter | — | serve: request lines over the TCP front-end's line-length cap |
 //! | `pragformer_train_epochs_total` | counter | — | model: epochs completed by `TrainLoop::fit` |
 //! | `pragformer_train_batches_total` | counter | — | model: optimizer steps taken |
 //! | `pragformer_train_clip_events_total` | counter | — | model: batches whose grad norm exceeded the clip |

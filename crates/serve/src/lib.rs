@@ -23,11 +23,15 @@
 //!    entirely. Hit/miss/eviction counters feed [`ServerStats`].
 //! 3. **[`tcp`]** + **[`wire`]** — a std-TCP front-end speaking
 //!    newline-delimited JSON (one request/response per line, hand-rolled
-//!    serde). Connection handlers (one thread each, capped by
-//!    [`ServeConfig::tcp_workers`]) funnel into the shared scheduler, so
-//!    batches form *across* connections — and pipelined lines on one
-//!    connection are submitted together ([`Client::submit`]), so they
-//!    coalesce too.
+//!    serde). Connections (capped by [`ServeConfig::tcp_workers`]) are
+//!    full duplex: a reader thread submits each request line the moment
+//!    it arrives ([`Client::submit`]), and a writer thread streams the
+//!    answers back in request order as they finish, so batches form
+//!    *across* connections and across one connection's pipelined
+//!    lines. Sockets set `TCP_NODELAY`; request lines are capped at
+//!    [`tcp::MAX_LINE_BYTES`], a connection's in-flight answers at
+//!    [`tcp::MAX_IN_FLIGHT`] and its unwritten output at
+//!    [`tcp::MAX_RUN_BYTES`].
 //!
 //! ## The contract
 //!

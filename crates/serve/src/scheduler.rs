@@ -62,9 +62,10 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Bound on the submit queue; full-queue submits block (backpressure).
     pub queue_capacity: usize,
-    /// Maximum concurrent connection-handler threads in the TCP
-    /// front-end; connections beyond the cap are refused with an error
-    /// response rather than queued behind busy handlers.
+    /// Maximum concurrent connections in the TCP front-end; connections
+    /// beyond the cap are refused with an error response rather than
+    /// queued behind busy ones. Each connection runs two threads, a
+    /// reader and a writer.
     pub tcp_workers: usize,
 }
 
@@ -144,8 +145,9 @@ impl Client {
     /// Lets a single caller put several requests in flight at once —
     /// they land in the same collector batch and coalesce into one
     /// forward, exactly like requests from distinct clients. The TCP
-    /// front-end uses this to batch pipelined request lines. Blocks only
-    /// for queue space (backpressure), never for the model.
+    /// front-end submits every request line this way as soon as it
+    /// arrives. Blocks only for queue space (backpressure), never for
+    /// the model.
     pub fn submit(&self, source: &str) -> Result<Pending, ServeError> {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         // Count the request as queued before the (possibly blocking) send
@@ -172,6 +174,17 @@ impl Pending {
     /// Blocks until the collector answers this request.
     pub fn wait(self) -> Result<Advice, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::Closed))
+    }
+
+    /// The answer if the collector has already sent it, without
+    /// blocking; the `Pending` itself back while the request is still in
+    /// flight.
+    pub fn try_wait(self) -> Result<Result<Advice, ServeError>, Pending> {
+        match self.rx.try_recv() {
+            Ok(answer) => Ok(answer),
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => Ok(Err(ServeError::Closed)),
+        }
     }
 }
 

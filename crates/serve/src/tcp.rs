@@ -1,24 +1,58 @@
 //! std-TCP front-end speaking the newline-delimited JSON protocol.
 //!
 //! [`TcpServer::bind`] takes a scheduler [`Client`] and serves it over a
-//! `TcpListener`. Each accepted connection gets its own handler thread
-//! (bounded by `max_connections`, the `ServeConfig::tcp_workers` knob:
-//! connections over the cap are answered with an `ok:false` line and
-//! closed immediately, so an army of idle peers can never starve new
-//! arrivals). Handlers read request lines, submit them through the
-//! shared `Client` — where the collector coalesces snippets *across
-//! connections* into batched forwards — and write one response line per
-//! request, in request order.
+//! `TcpListener`. At most `max_connections` connections (the
+//! `ServeConfig::tcp_workers` knob) are served at once; a connection over
+//! the cap is answered with an `ok:false` line and closed immediately, so
+//! an army of idle peers can never starve new arrivals. Every request
+//! goes through the shared `Client`, where the collector coalesces
+//! snippets *across connections* into batched forwards, and every
+//! request line gets one response line, in request order.
 //!
-//! **Pipelining coalesces.** When a peer writes several request lines
-//! back-to-back, the handler drains every complete line already buffered
-//! and submits them all before waiting for the first answer
-//! ([`Client::submit`]), so a single connection's burst lands in one
-//! collector batch instead of serializing through batches of one.
+//! **Full duplex.** Each connection runs two threads joined by a bounded
+//! FIFO:
 //!
-//! A malformed line never kills a connection: the handler answers with
-//! an `ok:false` error response (id 0 when the line was too broken to
-//! carry one) and keeps reading. Connections close when the peer closes.
+//! * the *reader* submits each request line to the scheduler
+//!   ([`Client::submit`]) as soon as the line is complete and queues the
+//!   in-flight answer in the FIFO. It never waits for an answer, so a
+//!   pipelined burst reaches the collector line by line while earlier
+//!   answers are still being written, and collector batches fill across
+//!   bursts and connections;
+//! * the *writer* answers in request order. It appends every answer
+//!   that is already done ([`Pending::try_wait`]), writes each such run
+//!   with one write, and blocks only on the oldest answer still pending.
+//!   A run is also written once it holds [`MAX_RUN_BYTES`], so answers
+//!   that need no scheduler work (`metrics`, `stats`, errors) cannot
+//!   pile up unwritten while the reader keeps the FIFO full.
+//!
+//! Stats and metrics lines are resolved when the writer reaches them,
+//! after every earlier answer on the connection has arrived; the
+//! collector publishes its counters before it replies, so a pipelined
+//! `stats` line counts every request ahead of it.
+//!
+//! **In-flight bound.** The FIFO holds [`MAX_IN_FLIGHT`] answers. A peer
+//! that pipelines requests and never reads its answers stalls its writer
+//! first (TCP flow control, at most [`MAX_RUN_BYTES`] gathered), then its
+//! reader (FIFO full), then its own sends; it never has more than about
+//! `MAX_IN_FLIGHT` requests in the scheduler, the memory it holds stays
+//! bounded, and other connections keep being served.
+//!
+//! **Nagle off.** Accepted sockets set `TCP_NODELAY`. With Nagle's
+//! algorithm on, an answer written while the previous one is still
+//! unacknowledged waits for the peer's delayed ACK, about 40 ms on Linux,
+//! and that wait set the p99 of lightly loaded traffic. The writer
+//! already gathers every ready answer into one write, so Nagle has
+//! nothing left to coalesce.
+//!
+//! **Limits and errors.** A request line longer than [`MAX_LINE_BYTES`]
+//! gets one `ok:false` "request line too long" answer in its place in
+//! the order; the reader discards bytes up to the next newline and keeps
+//! the connection, so a connection never holds more than the cap of line
+//! data. Rejections are counted in
+//! `pragformer_serve_rejected_lines_total`. A malformed line never kills
+//! a connection either: it is answered with an `ok:false` error response
+//! (id 0 when the line was too broken to carry one). Connections close
+//! when the peer closes.
 //!
 //! **Prometheus scraping.** The same listener speaks just enough
 //! HTTP/1.1 for a scrape: a connection whose first line starts with
@@ -36,10 +70,11 @@
 //! scheduler activity.
 //!
 //! [`TcpServer::shutdown`] (and `Drop`) stops accepting, wakes the
-//! accept loop with a loopback connect, and waits for handlers to wind
-//! down. Handlers poll a stop flag between reads (connections carry a
-//! short read timeout), so shutdown is bounded even with idle
-//! connections open.
+//! accept loop with a loopback connect, and waits up to
+//! [`SHUTDOWN_GRACE`] for connections to wind down. Sockets carry short
+//! read and write timeouts, so both connection threads re-check a stop
+//! flag while they wait on the peer: neither an idle peer nor one that
+//! stops reading can pin a connection past shutdown.
 
 use crate::scheduler::{Client, Pending};
 use crate::wire;
@@ -47,15 +82,33 @@ use pragformer_obs as obs;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often an idle connection handler re-checks the stop flag.
-const READ_POLL: Duration = Duration::from_millis(100);
+/// Answers one connection may queue between its reader and its writer.
+/// Four full collector batches at the default `max_batch` of 64: a peer
+/// pipelining a batch or more never stalls its reader, and the default
+/// 4 connections × 256 match the default 1024-entry submit queue.
+pub const MAX_IN_FLIGHT: usize = 256;
 
-/// How long shutdown waits for connection handlers to wind down.
-const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+/// Longest request line accepted, in bytes without the newline. Longer
+/// lines are answered with an error and their bytes discarded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Most answer bytes the writer gathers before writing them, even when
+/// more answers are ready: bounds a connection's unwritten output, and
+/// lets a peer that never reads stall the writer (and through the FIFO
+/// the reader) however cheap its requests are to answer.
+pub const MAX_RUN_BYTES: usize = 64 << 10;
+
+/// How long shutdown waits for connections to wind down.
+pub const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// How often a connection thread blocked on its socket re-checks the
+/// stop flag (the socket's read and write timeout).
+const POLL: Duration = Duration::from_millis(100);
 
 /// A running TCP front-end. Dropping it shuts the listener down.
 pub struct TcpServer {
@@ -135,8 +188,8 @@ impl TcpServer {
         self.active.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting and waits (bounded) for open connections to wind
-    /// down.
+    /// Stops accepting and waits (at most [`SHUTDOWN_GRACE`]) for open
+    /// connections to wind down.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -148,8 +201,8 @@ impl TcpServer {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Handlers poll the stop flag at READ_POLL granularity; give
-        // them a bounded grace period to drain.
+        // Connection threads poll the stop flag at POLL granularity;
+        // give them a bounded grace period to drain.
         let deadline = std::time::Instant::now() + SHUTDOWN_GRACE;
         while self.active.load(Ordering::Relaxed) > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -165,89 +218,208 @@ impl Drop for TcpServer {
     }
 }
 
-/// Serves one connection: request lines in, response lines out (in
-/// request order), until the peer closes or the server stops. Pipelined
-/// lines already buffered are submitted together so they coalesce into
-/// one collector batch.
+/// Per-socket setup of an accepted connection: Nagle off, so an answer
+/// leaves as soon as the writer writes it, and [`POLL`] read and write
+/// timeouts, so neither connection thread blocks on the peer without
+/// re-checking the stop flag.
+fn configure_socket(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL))?;
+    stream.set_write_timeout(Some(POLL))
+}
+
+/// Serves one connection until the peer closes or the server stops:
+/// this thread reads and submits request lines, a scoped writer thread
+/// answers them in request order.
 fn handle_connection(stream: TcpStream, client: &Client, stop: &AtomicBool) {
-    // Short read timeout so an idle connection cannot pin a handler
-    // across shutdown.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    if configure_socket(&stream).is_err() {
+        return;
+    }
+    let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
-    // Lines are accumulated as raw bytes (`read_until`, not
-    // `read_line`): a read timeout mid-line then simply leaves the
-    // partial bytes in the buffer for the next call, with no UTF-8
-    // validation guard that could discard a prefix cut mid-character.
     let mut line: Vec<u8> = Vec::new();
-    let mut first = true;
+    let first = read_line(&mut reader, &mut line, stop);
+
+    // An HTTP request line on the NDJSON port means a Prometheus scrape
+    // (or a stray browser): answer one HTTP response and close, leaving
+    // JSON peers untouched.
+    if first == Line::Complete && line.starts_with(b"GET ") {
+        handle_http(&mut reader, &mut writer, &line, stop);
+        return;
+    }
+
+    let (fifo, answers) = sync_channel(MAX_IN_FLIGHT);
+    std::thread::scope(|s| {
+        let spawned = std::thread::Builder::new()
+            .name("pragformer-serve-write".to_string())
+            .spawn_scoped(s, move || write_answers(answers, &mut writer, client, stop));
+        if spawned.is_ok() {
+            read_requests(&mut reader, &mut line, first, fifo, client, stop);
+        }
+    });
+}
+
+/// The reader: submits every request line as it completes and queues
+/// its answer for the writer, until the peer closes, the writer hangs
+/// up or the server stops. `read` is the outcome of the line already in
+/// `line`. Dropping `fifo` on return lets the writer finish.
+fn read_requests(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+    mut read: Line,
+    fifo: SyncSender<Submitted>,
+    client: &Client,
+    stop: &AtomicBool,
+) {
     loop {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => return, // peer closed (any partial line is dropped)
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // A timeout may leave a partial line in `line`; keep it —
-                // the next read_until call appends the rest.
-                if stop.load(Ordering::Relaxed) {
+        let submitted = match read {
+            Line::Closed => return,
+            Line::TooLong => {
+                record_rejected_line();
+                let msg = format!("request line too long (over {MAX_LINE_BYTES} bytes)");
+                Some(Submitted::Immediate(wire::format_error(0, &msg)))
+            }
+            Line::Complete => submit_line(client, line),
+        };
+        if let Some(submitted) = submitted {
+            if fifo.send(submitted).is_err() {
+                return;
+            }
+        }
+        read = read_line(reader, line, stop);
+    }
+}
+
+/// The writer: answers in request order, one write per run of answers
+/// that are ready (cut at [`MAX_RUN_BYTES`]), until the reader hangs up
+/// and the FIFO is drained, the peer goes away or the server stops.
+fn write_answers(
+    answers: Receiver<Submitted>,
+    stream: &mut impl Write,
+    client: &Client,
+    stop: &AtomicBool,
+) {
+    let mut out = String::new();
+    loop {
+        let next = match answers.try_recv() {
+            Ok(next) => next,
+            Err(TryRecvError::Empty) => {
+                // Nothing more is queued: send the run, then wait.
+                if !write_run(stream, &mut out, stop) {
                     return;
                 }
-                continue;
+                match answers.recv() {
+                    Ok(next) => next,
+                    Err(_) => return,
+                }
             }
-            Err(_) => return,
+            Err(TryRecvError::Disconnected) => break,
+        };
+        match next {
+            Submitted::Pending(id, pending) => {
+                let answer = match pending.try_wait() {
+                    Ok(answer) => answer,
+                    Err(pending) => {
+                        // The oldest answer is still pending: send what
+                        // is ready before blocking on it.
+                        if !write_run(stream, &mut out, stop) {
+                            return;
+                        }
+                        pending.wait()
+                    }
+                };
+                out.push_str(&wire::format_response(id, &answer));
+            }
+            Submitted::Immediate(response) => out.push_str(&response),
+            Submitted::Stats(id) => out.push_str(&wire::format_stats(id, &client.stats())),
+            Submitted::Metrics(id) => {
+                out.push_str(&wire::format_metrics(id, &obs::render_prometheus()))
+            }
         }
-
-        // An HTTP request line on the NDJSON port means a Prometheus
-        // scrape (or a stray browser): answer one HTTP response and
-        // close, leaving JSON peers untouched.
-        if first && line.starts_with(b"GET ") {
-            handle_http(&mut reader, &mut writer, &line, stop);
+        out.push('\n');
+        if out.len() >= MAX_RUN_BYTES && !write_run(stream, &mut out, stop) {
             return;
         }
-        first = false;
+    }
+    write_run(stream, &mut out, stop);
+}
 
-        // Submit the line just read plus every *complete* line already
-        // sitting in the read buffer, so a pipelined burst becomes one
-        // coalesced batch. (`reader.buffer()` never blocks.)
-        let mut in_flight: Vec<Submitted> = Vec::new();
-        in_flight.extend(submit_line(client, &line));
-        line.clear();
-        while reader.buffer().contains(&b'\n') {
-            match reader.read_until(b'\n', &mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    in_flight.extend(submit_line(client, &line));
+/// Writes and clears the gathered answers; false once the connection is
+/// done.
+fn write_run(stream: &mut impl Write, out: &mut String, stop: &AtomicBool) -> bool {
+    let ok = out.is_empty() || write_polling(stream, out.as_bytes(), stop);
+    out.clear();
+    ok
+}
+
+/// Writes all of `bytes`, re-checking the stop flag each time the peer
+/// leaves the socket unwritable for a [`POLL`] interval. False when the
+/// peer went away or the server is stopping.
+fn write_polling(stream: &mut impl Write, mut bytes: &[u8], stop: &AtomicBool) -> bool {
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(0) => return false,
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if is_poll_timeout(&e) => {
+                if stop.load(Ordering::Relaxed) {
+                    return false;
+                }
+            }
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
+/// Whether a socket error only means "nothing happened within [`POLL`]".
+fn is_poll_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+}
+
+/// What [`read_line`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Line {
+    /// A line (without its newline) is in the buffer.
+    Complete,
+    /// A line longer than [`MAX_LINE_BYTES`] was read and discarded.
+    TooLong,
+    /// The peer closed, the connection failed or the server is stopping.
+    Closed,
+}
+
+/// Reads the next line into `line`, without its newline, keeping at most
+/// [`MAX_LINE_BYTES`] of it. Lines are gathered as raw bytes, so a read
+/// timeout mid-line keeps the partial bytes with no UTF-8 guard that
+/// could discard a prefix cut mid-character. A last line without a
+/// newline still counts.
+fn read_line(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>, stop: &AtomicBool) -> Line {
+    line.clear();
+    let mut too_long = false;
+    loop {
+        if stop.load(Ordering::Relaxed) {
+            return Line::Closed;
+        }
+        let (used, done) = match reader.fill_buf() {
+            Ok([]) if too_long => return Line::TooLong,
+            Ok([]) if line.is_empty() => return Line::Closed,
+            Ok([]) => return Line::Complete,
+            Ok(buf) => {
+                let end = buf.iter().position(|&b| b == b'\n');
+                let body = &buf[..end.unwrap_or(buf.len())];
+                if too_long || line.len() + body.len() > MAX_LINE_BYTES {
+                    too_long = true;
                     line.clear();
+                } else {
+                    line.extend_from_slice(body);
                 }
-                Err(_) => break,
+                (end.map_or(buf.len(), |e| e + 1), end.is_some())
             }
-        }
-
-        // Answer in request order, one buffered write per burst.
-        let mut out = String::new();
-        for submitted in in_flight {
-            match submitted {
-                Submitted::Pending(id, pending) => {
-                    out.push_str(&wire::format_response(id, &pending.wait()))
-                }
-                Submitted::Immediate(response) => out.push_str(&response),
-                // Snapshot here — after every earlier request in the
-                // burst has been answered (the collector publishes its
-                // counters before replying) — so a pipelined stats line
-                // deterministically reflects the requests ahead of it.
-                Submitted::Stats(id) => out.push_str(&wire::format_stats(id, &client.stats())),
-                // Same ordering argument: the exposition is rendered
-                // after the burst's earlier requests were answered.
-                Submitted::Metrics(id) => {
-                    out.push_str(&wire::format_metrics(id, &obs::render_prometheus()))
-                }
-            }
-            out.push('\n');
-        }
-        if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() {
-            return;
+            Err(e) if is_poll_timeout(&e) => continue,
+            Err(_) => return Line::Closed,
+        };
+        reader.consume(used);
+        if done {
+            return if too_long { Line::TooLong } else { Line::Complete };
         }
     }
 }
@@ -297,8 +469,8 @@ fn submit_line(client: &Client, line: &[u8]) -> Option<Submitted> {
         }
         // Stats and metrics never enter the scheduler queue — scraping
         // them is free even under backpressure; the snapshot is taken
-        // when the answer loop reaches this line so it covers the
-        // burst's earlier requests.
+        // when the writer reaches this line so it covers the
+        // connection's earlier requests.
         Ok(wire::WireRequest::Stats { id }) => {
             trace_request("stats", id);
             Submitted::Stats(id)
@@ -309,6 +481,23 @@ fn submit_line(client: &Client, line: &[u8]) -> Option<Submitted> {
         }
         Err(msg) => Submitted::Immediate(wire::format_error(0, &format!("bad request: {msg}"))),
     })
+}
+
+/// Counts one request line rejected for exceeding [`MAX_LINE_BYTES`] in
+/// `pragformer_serve_rejected_lines_total`.
+fn record_rejected_line() {
+    if !obs::enabled() {
+        return;
+    }
+    static CELL: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    CELL.get_or_init(|| {
+        obs::counter(
+            "pragformer_serve_rejected_lines_total",
+            "Request lines rejected for exceeding the line-length cap.",
+            &[],
+        )
+    })
+    .inc();
 }
 
 /// Counts one HTTP request in
@@ -348,28 +537,18 @@ fn handle_http(
         .to_string();
 
     // Drain headers until the blank line so well-behaved clients don't
-    // see a response racing their request (reads share the NDJSON
-    // timeout; keep polling the stop flag so shutdown stays bounded).
+    // see a response racing their request. Header lines share the
+    // request-line cap.
     let mut header: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut header) {
-            Ok(0) => break,
-            Ok(_) => {
-                if header == b"\r\n" || header == b"\n" {
-                    break;
-                }
-                if !header.ends_with(b"\n") {
-                    continue; // partial header line; keep appending
-                }
-                header.clear();
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(_) => return,
+        match read_line(reader, &mut header, stop) {
+            Line::Complete if header.is_empty() || header == b"\r" => break,
+            Line::Complete | Line::TooLong => {}
+            Line::Closed => break,
         }
+    }
+    if stop.load(Ordering::Relaxed) {
+        return;
     }
 
     let (status, content_type, body) = if path == "/metrics" {
@@ -384,6 +563,63 @@ fn handle_http(
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
-    let _ = writer.write_all(response.as_bytes());
-    let _ = writer.flush();
+    write_polling(writer, response.as_bytes(), stop);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_disable_nagle_and_poll() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        assert!(!accepted.nodelay().unwrap(), "a fresh socket keeps Nagle on");
+        configure_socket(&accepted).expect("configure");
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(POLL));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(POLL));
+    }
+
+    /// Records the size of every write it takes.
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A FIFO that never runs empty still gets written in runs of at
+    /// most `MAX_RUN_BYTES` (plus the answer that crossed it), so a
+    /// reader that outpaces the writer cannot grow the gathered output.
+    #[test]
+    fn writer_cuts_runs_at_max_run_bytes() {
+        let server = crate::AdvisorServer::start(
+            pragformer_core::Advisor::untrained(pragformer_core::Scale::Tiny, 1),
+            crate::ServeConfig::default(),
+        );
+        let answer = wire::format_error(0, &"x".repeat(1000));
+        let count = 4 * MAX_RUN_BYTES / answer.len();
+        let (fifo, answers) = sync_channel(count);
+        for _ in 0..count {
+            fifo.send(Submitted::Immediate(answer.clone())).unwrap();
+        }
+        drop(fifo);
+
+        let mut writes = Writes(Vec::new());
+        write_answers(answers, &mut writes, &server.client(), &AtomicBool::new(false));
+        assert_eq!(writes.0.iter().sum::<usize>(), count * (answer.len() + 1));
+        assert!(writes.0.len() >= 4, "{} writes for {count} answers", writes.0.len());
+        for &n in &writes.0 {
+            assert!(n < MAX_RUN_BYTES + answer.len() + 1, "a run of {n} bytes");
+        }
+        let _ = server.shutdown();
+    }
 }
