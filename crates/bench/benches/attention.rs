@@ -1,22 +1,20 @@
-//! Attention-kernel twins: the fused inference fast path (one QKV
-//! GEMM, single-pass masked softmax, cache-free tiles) against the
-//! legacy split path, per kernel tier, on an isolated
+//! Attention-block latency per kernel tier, on an isolated
 //! reproduction-scale attention block.
 //!
-//! Both arms run eval-mode steady state: weight caches warm (pre-packed
-//! panels on the f32 tiers, int8 copies on the quantized tier), scratch
-//! arena warm, so the twin isolates exactly what fusion moves — GEMM
-//! count, softmax passes and cache traffic — and nothing else. Outputs
-//! are bitwise identical between the arms by the fused-attention
-//! contract (`crates/model/tests/fused_attention_proptests.rs`); only
-//! the latency may differ. JSON records land in `BENCH_attention.json`;
-//! take them one arm per process (`BENCH_ONLY=attention/<arm>`).
+//! Each arm runs eval-mode steady state: weight caches warm (pre-packed
+//! panels on the f32 tiers, int8 copies on the quantized tier) and the
+//! scratch arena warm, so the arm measures the projection GEMMs, the
+//! masked score/context tiles and the merge — the unit the per-layer
+//! inference cost decomposes into. JSON records land in
+//! `BENCH_attention.json`; take them one arm per process
+//! (`BENCH_ONLY=attention/<arm>`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pragformer_model::attention::MultiHeadSelfAttention;
 use pragformer_model::ModelConfig;
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::{self, KernelTier};
+use pragformer_tensor::nn::WeightCache;
 use pragformer_tensor::Tensor;
 
 const TIERS: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Int8];
@@ -39,19 +37,16 @@ fn bench_attention(c: &mut Criterion) {
             eprintln!("(skipping attention twins for {}: unsupported on this CPU)", tier.name());
             continue;
         }
-        let int8 = tier == KernelTier::Int8;
-        for (suffix, fused) in [("fused", true), ("unfused", false)] {
-            // Steady-state caches for this arm: int8 copies under the
-            // quantized tier, pre-packed panels otherwise; one warm
-            // forward settles the scratch arena.
-            attn.configure_inference_caches(int8, !int8, fused);
-            let _ = attn.forward(&x, batch, seq, &valid, false);
-            group.bench_function(format!("{}_{}", suffix, tier.name()), |b| {
-                b.iter(|| attn.forward(std::hint::black_box(&x), batch, seq, &valid, false))
-            });
-        }
+        // Steady-state caches for this arm: int8 copies under the
+        // quantized tier, pre-packed panels otherwise; one warm forward
+        // settles the scratch arena.
+        let cache = if tier == KernelTier::Int8 { WeightCache::Int8 } else { WeightCache::Packed };
+        attn.for_each_linear(&mut |lin| lin.set_weight_cache(cache));
+        let _ = attn.forward(&x, batch, seq, &valid, false);
+        group.bench_function(format!("forward_{}", tier.name()), |b| {
+            b.iter(|| attn.forward(std::hint::black_box(&x), batch, seq, &valid, false))
+        });
     }
-    attn.configure_inference_caches(false, false, false);
     kernel::set_tier(prior).expect("restore kernel tier");
     group.finish();
 }

@@ -60,27 +60,7 @@ fn bench_inference(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
-        // Zero-repack twins for the f32 tiers: the same forward with the
-        // pre-packed panels forced on vs off (model-local override; the
-        // int8 tier never reads f32 panels). One warm forward before
-        // each arm moves the one-time pack/drop out of the timing loop.
-        if tier != KernelTier::Int8 {
-            for (suffix, force) in [("prepacked", true), ("repack", false)] {
-                model.set_prepack_override(Some(force));
-                let _ = model.predict_proba(&ids, &[valid]);
-                group.bench_function(
-                    format!("pragformer_forward_{}_{}", suffix, tier.name()),
-                    |b| {
-                        b.iter_batched(
-                            || (ids.clone(), vec![valid]),
-                            |(ids, valid)| model.predict_proba(&ids, &valid),
-                            BatchSize::SmallInput,
-                        )
-                    },
-                );
-            }
-            model.set_prepack_override(None);
-        } else {
+        if tier == KernelTier::Int8 {
             // Int8 sub-simd twins: the same quantized forward with the
             // integer microkernel pinned to AVX2 vs scalar (bitwise
             // identical outputs — only the latency differs). One warm

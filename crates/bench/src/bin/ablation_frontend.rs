@@ -1,4 +1,4 @@
-//! Ablation A4 (DESIGN.md): how much of the S2S engine's directive-task
+//! Ablation A4: how much of the S2S engine's directive-task
 //! deficit is the strict front-end vs the conservative analysis?
 //!
 //! Runs the ComPar engine over the directive test split twice — strict

@@ -1,4 +1,4 @@
-//! Ablation A1 (DESIGN.md): does MLM pre-training — the stand-in for the
+//! Ablation A1: does MLM pre-training — the stand-in for the
 //! paper's DeepSCC initialization — help the directive task?
 //!
 //! Trains the directive classifier twice from the same seed: once from

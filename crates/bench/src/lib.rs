@@ -1,7 +1,7 @@
 //! # pragformer-bench
 //!
 //! Harnesses that regenerate every table and figure of the paper's
-//! evaluation (see DESIGN.md §3 for the experiment ↔ binary index):
+//! evaluation; the table is the experiment ↔ binary index:
 //!
 //! | Binary | Paper artifact |
 //! |--------|----------------|
@@ -18,8 +18,8 @@
 //! | `table10_reduction` | Table 10 — reduction-clause task |
 //! | `table11_benchmarks` | Table 11 — PolyBench / SPEC generalization |
 //! | `fig8_lime` | Table 12 + Figure 8 — predictions & explanations |
-//! | `ablation_pretrain` | DESIGN A1 — MLM pre-training benefit |
-//! | `ablation_frontend` | DESIGN A4 — strict vs lenient front-end |
+//! | `ablation_pretrain` | Ablation A1 — MLM pre-training benefit |
+//! | `ablation_frontend` | Ablation A4 — strict vs lenient front-end |
 //! | `run_all` | everything above, in sequence |
 //!
 //! Every binary accepts `--scale tiny|small|paper` (default `small`) and

@@ -417,39 +417,6 @@ impl Advisor {
         }
     }
 
-    /// Advisor-local pre-packing override, forwarded to every backing
-    /// trunk: `Some(true)` runs zero-repack f32 inference, `Some(false)`
-    /// forces pack-per-call, `None` follows the process-wide
-    /// `PRAGFORMER_PREPACK` switch. Either way every probability is
-    /// bitwise identical — packing moves work, never bits.
-    pub fn set_prepack(&mut self, force: Option<bool>) {
-        match &mut self.models {
-            Models::PerHead { directive, private, reduction } => {
-                directive.set_prepack_override(force);
-                private.set_prepack_override(force);
-                reduction.set_prepack_override(force);
-            }
-            Models::SharedTrunk(model) => model.set_prepack_override(force),
-        }
-    }
-
-    /// Advisor-local fused-attention override, forwarded to every
-    /// backing trunk: `Some(true)` runs the fused QKV +
-    /// single-pass-softmax fast path, `Some(false)` the legacy split
-    /// path, `None` follows the process-wide `PRAGFORMER_ATTN` switch.
-    /// Either way every probability is bitwise identical per kernel
-    /// tier — fusion moves work, never bits.
-    pub fn set_attn_fused(&mut self, force: Option<bool>) {
-        match &mut self.models {
-            Models::PerHead { directive, private, reduction } => {
-                directive.set_attn_fused_override(force);
-                private.set_attn_fused_override(force);
-                reduction.set_attn_fused_override(force);
-            }
-            Models::SharedTrunk(model) => model.set_attn_fused_override(force),
-        }
-    }
-
     /// Bytes retained by attention backward caches across every backing
     /// trunk. The advise path runs eval-mode (cache-free) forwards only,
     /// so this is always zero for a serving advisor — the invariant the
@@ -1058,54 +1025,6 @@ mod tests {
         assert_eq!(batched.private_probability.to_bits(), single.private_probability.to_bits());
         let (f32_bytes, int8_bytes) = advisor.trunk_weight_bytes();
         assert!(int8_bytes < f32_bytes, "int8 accounting must shrink the trunk");
-    }
-
-    #[test]
-    fn prepacked_advice_is_bitwise_identical_to_repack() {
-        // The zero-repack acceptance gate: pre-packed panels must change
-        // *where* packing happens, never a single probability bit, on
-        // every advice arm — including through a mid-batch parse error.
-        // Model-local override; the process-wide switch is untouched.
-        let mut advisor = Advisor::untrained_backend(Scale::Tiny, 17, AdvisorBackend::SharedTrunk);
-        let snippets: Vec<&str> = vec![
-            "for (i = 0; i < n; i++) a[i] = b[i] + c[i];",
-            "for (i = 0; i < ; i++ {", // parse error mid-batch
-            "s = 0.0;\nfor (i = 0; i < n; i++) s += a[i] * b[i];",
-        ];
-        advisor.set_prepack(Some(false));
-        let repack = advisor.advise_batch(&snippets);
-        advisor.set_prepack(Some(true));
-        let prepacked = advisor.advise_batch(&snippets);
-        for (i, (a, b)) in repack.iter().zip(&prepacked).enumerate() {
-            match (a, b) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.confidence.to_bits(), b.confidence.to_bits(), "snippet {i}");
-                    assert_eq!(
-                        a.private_probability.to_bits(),
-                        b.private_probability.to_bits(),
-                        "snippet {i}"
-                    );
-                    assert_eq!(
-                        a.reduction_probability.to_bits(),
-                        b.reduction_probability.to_bits(),
-                        "snippet {i}"
-                    );
-                    assert_eq!(a.compar_agrees, b.compar_agrees, "snippet {i}");
-                }
-                (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string(), "snippet {i}"),
-                other => panic!("snippet {i}: prepack changed ok/err shape: {other:?}"),
-            }
-        }
-        // The per-head backend routes through the same Trunk gating but
-        // a different fan-out arm; pin it too.
-        let mut per_head = Advisor::untrained_backend(Scale::Tiny, 17, AdvisorBackend::PerHead);
-        per_head.set_prepack(Some(false));
-        let off = per_head.advise(snippets[0]).unwrap();
-        per_head.set_prepack(Some(true));
-        let on = per_head.advise(snippets[0]).unwrap();
-        assert_eq!(off.confidence.to_bits(), on.confidence.to_bits());
-        assert_eq!(off.private_probability.to_bits(), on.private_probability.to_bits());
-        assert_eq!(off.reduction_probability.to_bits(), on.reduction_probability.to_bits());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `#pragma omp parallel for` directives, half negative examples drawn
 //! from the same files. The crawl is not reproducible offline, so this
 //! crate *generates* the corpus from ~40 parameterized loop templates that
-//! cover the same phenomenology (see DESIGN.md §2.1):
+//! cover the same phenomenology:
 //!
 //! * positive templates: initialization, axpy/triad, GEMV/GEMM, stencils,
 //!   element-wise math, reductions (`+`, `*`, `max`, `min`), loops needing

@@ -42,7 +42,7 @@ pub mod printer;
 
 pub use ast::*;
 pub use lexer::{lex, LexError, SpannedToken, Token};
-pub use parser::{parse_snippet, parse_translation_unit, ParseError};
+pub use parser::{parse_snippet, parse_translation_unit, ParseError, MAX_NESTING_DEPTH};
 
 /// Result of parsing: either value or positioned error.
 pub type ParseResult<T> = Result<T, ParseError>;

@@ -35,6 +35,20 @@ pub const WELL_KNOWN_TYPEDEFS: &[&str] = &[
     "uintptr_t",
 ];
 
+/// Deepest nesting the parser accepts. Each statement, assignment
+/// expression and unary expression the parser is inside of counts one
+/// level, and every recursive form passes through one of the three, so
+/// this bounds the parser's stack use and the depth of every AST it
+/// returns — and with it the stack of every recursive pass over that
+/// AST (printer, tokenizer, ComPar analysis). A parenthesized
+/// expression costs two levels (`(` re-enters `assignment_expr` and
+/// `unary_expr`), so 128 allows ~64 nested parentheses or ~127 nested
+/// loops, far beyond any loop nest in the corpus, while keeping an
+/// unoptimized build well inside a 2 MiB thread stack (~6 KiB per
+/// level there). Without the limit, 10,000 nested `(` overflowed such a
+/// stack and aborted the process. Deeper input gets a [`ParseError`].
+pub const MAX_NESTING_DEPTH: usize = 128;
+
 /// Parse failure with source position.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParseError {
@@ -86,11 +100,28 @@ pub fn parse_snippet(src: &str) -> Result<Vec<Stmt>, ParseError> {
 struct Parser {
     toks: Vec<SpannedToken>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
     fn new(toks: Vec<SpannedToken>) -> Self {
-        Self { toks, pos: 0 }
+        Self { toks, pos: 0, depth: 0 }
+    }
+
+    /// Runs `f` one nesting level deeper, refusing input that would go
+    /// past [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn at_end(&self) -> bool {
@@ -418,98 +449,25 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::statement_body)
+    }
+
+    /// Dispatches on the statement's first token. Every arm that recurses
+    /// or parses an expression lives in its own function, so this frame
+    /// — on the stack once per nesting level — stays small.
+    fn statement_body(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
-            Some(Token::OmpPragma(_)) => {
-                let raw = match self.bump() {
-                    Some(Token::OmpPragma(r)) => r,
-                    _ => unreachable!(),
-                };
-                let directive =
-                    OmpDirective::parse(&raw).map_err(|e| self.err(format!("in pragma: {e}")))?;
-                let stmt = self.statement()?;
-                Ok(Stmt::Pragma { directive, stmt: Box::new(stmt) })
-            }
+            Some(Token::OmpPragma(_)) => self.pragma_stmt(),
             Some(Token::Punct(Punct::LBrace)) => self.compound(),
             Some(Token::Punct(Punct::Semicolon)) => {
                 self.bump();
                 Ok(Stmt::Empty)
             }
-            Some(Token::Keyword(Keyword::If)) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expression()?;
-                self.expect_punct(Punct::RParen)?;
-                let then = Box::new(self.statement()?);
-                let else_ = if self.eat_keyword(Keyword::Else) {
-                    Some(Box::new(self.statement()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::If { cond, then, else_ })
-            }
-            Some(Token::Keyword(Keyword::For)) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let init = if self.eat_punct(Punct::Semicolon) {
-                    ForInit::Empty
-                } else if self.is_type_start() {
-                    let base = self.type_specifiers()?;
-                    let mut decls = vec![self.declarator(&base)?];
-                    while self.eat_punct(Punct::Comma) {
-                        decls.push(self.declarator(&base)?);
-                    }
-                    self.expect_punct(Punct::Semicolon)?;
-                    ForInit::Decl(decls)
-                } else {
-                    let e = self.expression()?;
-                    self.expect_punct(Punct::Semicolon)?;
-                    ForInit::Expr(e)
-                };
-                let cond = if self.peek() == Some(&Token::Punct(Punct::Semicolon)) {
-                    None
-                } else {
-                    Some(self.expression()?)
-                };
-                self.expect_punct(Punct::Semicolon)?;
-                let step = if self.peek() == Some(&Token::Punct(Punct::RParen)) {
-                    None
-                } else {
-                    Some(self.expression()?)
-                };
-                self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.statement()?);
-                Ok(Stmt::For { init, cond, step, body })
-            }
-            Some(Token::Keyword(Keyword::While)) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expression()?;
-                self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.statement()?);
-                Ok(Stmt::While { cond, body })
-            }
-            Some(Token::Keyword(Keyword::Do)) => {
-                self.bump();
-                let body = Box::new(self.statement()?);
-                if !self.eat_keyword(Keyword::While) {
-                    return Err(self.err("expected 'while' after do-body"));
-                }
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expression()?;
-                self.expect_punct(Punct::RParen)?;
-                self.expect_punct(Punct::Semicolon)?;
-                Ok(Stmt::DoWhile { body, cond })
-            }
-            Some(Token::Keyword(Keyword::Return)) => {
-                self.bump();
-                if self.eat_punct(Punct::Semicolon) {
-                    Ok(Stmt::Return(None))
-                } else {
-                    let e = self.expression()?;
-                    self.expect_punct(Punct::Semicolon)?;
-                    Ok(Stmt::Return(Some(e)))
-                }
-            }
+            Some(Token::Keyword(Keyword::If)) => self.if_stmt(),
+            Some(Token::Keyword(Keyword::For)) => self.for_stmt(),
+            Some(Token::Keyword(Keyword::While)) => self.while_stmt(),
+            Some(Token::Keyword(Keyword::Do)) => self.do_while_stmt(),
+            Some(Token::Keyword(Keyword::Return)) => self.return_stmt(),
             Some(Token::Keyword(Keyword::Break)) => {
                 self.bump();
                 self.expect_punct(Punct::Semicolon)?;
@@ -523,14 +481,111 @@ impl Parser {
             Some(Token::Keyword(Keyword::Goto)) | Some(Token::Keyword(Keyword::Switch)) => {
                 Err(self.err("goto/switch are outside the supported C subset"))
             }
-            _ if self.is_type_start() => Ok(Stmt::Decl(self.declaration()?)),
-            Some(_) => {
-                let e = self.expression()?;
-                self.expect_punct(Punct::Semicolon)?;
-                Ok(Stmt::Expr(e))
-            }
+            _ if self.is_type_start() => self.declaration().map(Stmt::Decl),
+            Some(_) => self.expr_stmt(),
             None => Err(self.err("expected statement, found end of input")),
         }
+    }
+
+    /// `#pragma omp …` followed by the statement it annotates.
+    fn pragma_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let raw = match self.bump() {
+            Some(Token::OmpPragma(r)) => r,
+            _ => unreachable!(),
+        };
+        let directive =
+            OmpDirective::parse(&raw).map_err(|e| self.err(format!("in pragma: {e}")))?;
+        let stmt = self.statement()?;
+        Ok(Stmt::Pragma { directive, stmt: Box::new(stmt) })
+    }
+
+    /// `if (cond) then [else else_]`.
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expression()?;
+        self.expect_punct(Punct::RParen)?;
+        let then = Box::new(self.statement()?);
+        let else_ =
+            if self.eat_keyword(Keyword::Else) { Some(Box::new(self.statement()?)) } else { None };
+        Ok(Stmt::If { cond, then, else_ })
+    }
+
+    /// `while (cond) body`.
+    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expression()?;
+        self.expect_punct(Punct::RParen)?;
+        let body = Box::new(self.statement()?);
+        Ok(Stmt::While { cond, body })
+    }
+
+    /// `do body while (cond);`.
+    fn do_while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        let body = Box::new(self.statement()?);
+        if !self.eat_keyword(Keyword::While) {
+            return Err(self.err("expected 'while' after do-body"));
+        }
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expression()?;
+        self.expect_punct(Punct::RParen)?;
+        self.expect_punct(Punct::Semicolon)?;
+        Ok(Stmt::DoWhile { body, cond })
+    }
+
+    /// `return [expr];`.
+    fn return_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        if self.eat_punct(Punct::Semicolon) {
+            return Ok(Stmt::Return(None));
+        }
+        let e = self.expression()?;
+        self.expect_punct(Punct::Semicolon)?;
+        Ok(Stmt::Return(Some(e)))
+    }
+
+    /// `expr;`.
+    fn expr_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let e = self.expression()?;
+        self.expect_punct(Punct::Semicolon)?;
+        Ok(Stmt::Expr(e))
+    }
+
+    /// `for (init; cond; step) body`.
+    fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let init = if self.eat_punct(Punct::Semicolon) {
+            ForInit::Empty
+        } else if self.is_type_start() {
+            let base = self.type_specifiers()?;
+            let mut decls = vec![self.declarator(&base)?];
+            while self.eat_punct(Punct::Comma) {
+                decls.push(self.declarator(&base)?);
+            }
+            self.expect_punct(Punct::Semicolon)?;
+            ForInit::Decl(decls)
+        } else {
+            let e = self.expression()?;
+            self.expect_punct(Punct::Semicolon)?;
+            ForInit::Expr(e)
+        };
+        let cond = if self.peek() == Some(&Token::Punct(Punct::Semicolon)) {
+            None
+        } else {
+            Some(self.expression()?)
+        };
+        self.expect_punct(Punct::Semicolon)?;
+        let step = if self.peek() == Some(&Token::Punct(Punct::RParen)) {
+            None
+        } else {
+            Some(self.expression()?)
+        };
+        self.expect_punct(Punct::RParen)?;
+        let body = Box::new(self.statement()?);
+        Ok(Stmt::For { init, cond, step, body })
     }
 
     // ---- expressions ------------------------------------------------------
@@ -545,6 +600,10 @@ impl Parser {
     }
 
     fn assignment_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::assignment_body)
+    }
+
+    fn assignment_body(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
             Some(Token::Punct(Punct::Eq)) => AssignOp::Assign,
@@ -613,67 +672,65 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Token::Punct(Punct::Minus)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(self.unary_expr()?) })
-            }
-            Some(Token::Punct(Punct::Not)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(self.unary_expr()?) })
-            }
-            Some(Token::Punct(Punct::Tilde)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::BitNot, expr: Box::new(self.unary_expr()?) })
-            }
-            Some(Token::Punct(Punct::PlusPlus)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::PreInc, expr: Box::new(self.unary_expr()?) })
-            }
-            Some(Token::Punct(Punct::MinusMinus)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::PreDec, expr: Box::new(self.unary_expr()?) })
-            }
-            Some(Token::Punct(Punct::Star)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Deref, expr: Box::new(self.unary_expr()?) })
-            }
-            Some(Token::Punct(Punct::Amp)) => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::AddrOf, expr: Box::new(self.unary_expr()?) })
-            }
+        self.nested(Self::unary_body)
+    }
+
+    /// Prefix operators, `sizeof` and casts; like [`Self::statement_body`]
+    /// it keeps its own frame small by outlining the larger forms.
+    fn unary_body(&mut self) -> Result<Expr, ParseError> {
+        let op = match self.peek() {
+            Some(Token::Punct(Punct::Minus)) => UnOp::Neg,
+            Some(Token::Punct(Punct::Not)) => UnOp::Not,
+            Some(Token::Punct(Punct::Tilde)) => UnOp::BitNot,
+            Some(Token::Punct(Punct::PlusPlus)) => UnOp::PreInc,
+            Some(Token::Punct(Punct::MinusMinus)) => UnOp::PreDec,
+            Some(Token::Punct(Punct::Star)) => UnOp::Deref,
+            Some(Token::Punct(Punct::Amp)) => UnOp::AddrOf,
             Some(Token::Punct(Punct::Plus)) => {
                 self.bump();
-                self.unary_expr()
+                return self.unary_expr();
             }
-            Some(Token::Keyword(Keyword::Sizeof)) => {
-                self.bump();
-                if self.peek() == Some(&Token::Punct(Punct::LParen)) && self.is_type_start_at(1) {
-                    self.expect_punct(Punct::LParen)?;
-                    let mut ty = self.type_specifiers()?;
-                    while self.eat_punct(Punct::Star) {
-                        ty.pointers += 1;
-                    }
-                    self.expect_punct(Punct::RParen)?;
-                    Ok(Expr::Sizeof(Box::new(SizeofArg::Type(ty))))
-                } else {
-                    let e = self.unary_expr()?;
-                    Ok(Expr::Sizeof(Box::new(SizeofArg::Expr(e))))
-                }
-            }
+            Some(Token::Keyword(Keyword::Sizeof)) => return self.sizeof_expr(),
             // Cast: '(' type ')' unary
             Some(Token::Punct(Punct::LParen)) if self.is_type_start_at(1) => {
-                self.bump();
-                let mut ty = self.type_specifiers()?;
-                while self.eat_punct(Punct::Star) {
-                    ty.pointers += 1;
-                }
-                self.expect_punct(Punct::RParen)?;
-                let e = self.unary_expr()?;
-                Ok(Expr::Cast { ty, expr: Box::new(e) })
+                return self.cast_expr()
             }
-            _ => self.postfix_expr(),
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        Ok(Expr::Unary { op, expr: Box::new(self.unary_expr()?) })
+    }
+
+    /// `sizeof(type)` or `sizeof expr`.
+    fn sizeof_expr(&mut self) -> Result<Expr, ParseError> {
+        self.bump();
+        if self.peek() == Some(&Token::Punct(Punct::LParen)) && self.is_type_start_at(1) {
+            self.expect_punct(Punct::LParen)?;
+            let ty = self.pointer_type()?;
+            self.expect_punct(Punct::RParen)?;
+            Ok(Expr::Sizeof(Box::new(SizeofArg::Type(ty))))
+        } else {
+            let e = self.unary_expr()?;
+            Ok(Expr::Sizeof(Box::new(SizeofArg::Expr(e))))
         }
+    }
+
+    /// `(type) unary`.
+    fn cast_expr(&mut self) -> Result<Expr, ParseError> {
+        self.bump();
+        let ty = self.pointer_type()?;
+        self.expect_punct(Punct::RParen)?;
+        let e = self.unary_expr()?;
+        Ok(Expr::Cast { ty, expr: Box::new(e) })
+    }
+
+    /// Type specifiers followed by any number of `*`.
+    fn pointer_type(&mut self) -> Result<Type, ParseError> {
+        let mut ty = self.type_specifiers()?;
+        while self.eat_punct(Punct::Star) {
+            ty.pointers += 1;
+        }
+        Ok(ty)
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
@@ -975,5 +1032,17 @@ mod tests {
     #[test]
     fn unknown_pragma_clause_is_an_error() {
         assert!(parse_snippet("#pragma omp parallel for bogus(x)\nfor(;;) ;").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        // `x = -…-1;` spends one level on the statement, two on the
+        // assignment (its right side re-enters `assignment_expr`), one
+        // per unary operator and one on the literal.
+        let chain = |n: usize| format!("x = {}1;", "- ".repeat(n));
+        assert!(parse_snippet(&chain(MAX_NESTING_DEPTH - 4)).is_ok());
+        let err = parse_snippet(&chain(MAX_NESTING_DEPTH - 3)).unwrap_err();
+        assert!(err.msg.contains("nesting deeper than"), "{err}");
+        assert!(err.line >= 1);
     }
 }

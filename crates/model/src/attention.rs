@@ -1,5 +1,5 @@
-//! Multi-head self-attention with padding masks, an analytic backward,
-//! and a fused inference fast path.
+//! Multi-head self-attention with padding masks and an analytic
+//! backward.
 //!
 //! Activations are `[batch*seq, d_model]` tensors; per-sequence valid
 //! lengths implement the padding mask: every query row attends only to
@@ -9,36 +9,26 @@
 //!
 //! ## Execution model
 //!
-//! Every forward runs in three stages:
+//! Every forward, train or eval, runs the same three stages:
 //!
-//! 1. **Projection.** The Q/K/V projections run as `[batch·seq ×
-//!    d_model]` GEMMs regardless of batch size, which is where batching
-//!    pays. In training (and with the `PRAGFORMER_ATTN=unfused` kill
-//!    switch thrown) they are three separate GEMMs through the
-//!    [`Linear`] layers; at inference the fast path concatenates
-//!    `wq|wk|wv` column-wise into one `[d_model, 3·d_model]` matrix
-//!    (the private `FusedQkv` cache) — pre-packed panels on the f32
-//!    tiers, an int8 copy
-//!    on the quantized tier — so **one** GEMM produces `Q|K|V` side by
-//!    side. Because every GEMM accumulates each output column in one
-//!    ascending-`k` chain and quantization scales are per column,
-//!    concatenating columns changes no per-column arithmetic: fused and
-//!    unfused projections are **bitwise identical** on every kernel
-//!    tier (pinned by `fused_attention_proptests`).
+//! 1. **Projection.** Q, K and V come from three `[batch·seq ×
+//!    d_model]` GEMMs through the `wq`/`wk`/`wv` [`Linear`] layers,
+//!    regardless of batch size, which is where batching pays. Each
+//!    layer runs on whatever weight copy its model chose
+//!    ([`pragformer_tensor::nn::WeightCache`]): plain f32 in training,
+//!    pre-packed panels for f32 inference (bitwise the plain GEMM), or
+//!    int8 copies on the quantized tier — there `x` is quantized
+//!    **once** and shared by all three GEMMs (the quantize-once reuse
+//!    pinned by the tensor crate's `int8_kernel_proptests`).
 //! 2. **Score/context tiles.** The per-`(batch, head)` `[seq, seq]`
 //!    score and `[seq, d_head]` context tiles are inherently
 //!    block-diagonal, so they are dispatched across the persistent
 //!    thread pool ([`pragformer_tensor::parallel`]) — each pair's small
 //!    GEMMs run inline on one worker (nested parallel calls don't
-//!    re-dispatch). Head tiles gather from the projection output by
-//!    column offset (`Q` at `h·d_head`, `K` at `d_model + h·d_head`,
-//!    `V` at `2·d_model + h·d_head` in the fused layout), ride
-//!    [`scratch`] capacity, and go back to the arena as soon as they
-//!    are consumed. The score epilogue on the fast path is the fused
-//!    single-pass `·scale` + masked softmax
-//!    ([`ops::softmax_rows_scaled_uniform`]); the legacy path keeps the
-//!    two-pass `map_in_place` + [`ops::softmax_rows_uniform`] — also
-//!    bitwise identical, per tier.
+//!    re-dispatch). Head tiles gather from the projections by column
+//!    offset `h·d_head`, ride [`scratch`] capacity, and go back to the
+//!    arena as soon as they are consumed. Scores are scaled by
+//!    `1/√d_head`, then masked-softmaxed ([`ops::softmax_rows_uniform`]).
 //! 3. **Merge.** Context tiles scatter-add into an **arena-backed**
 //!    `[batch·seq, d_model]` output in a fixed serial order, so results
 //!    stay bitwise deterministic for any batch size and worker split.
@@ -48,81 +38,40 @@
 //! The `train` flag picks the mode. A **Train** forward stores the
 //! backward cache (projected Q/K/V plus the per-`(batch, head)`
 //! probability tiles, which [`MultiHeadSelfAttention::last_probs`]
-//! exposes to explainability tools) and always takes the unfused path —
-//! [`MultiHeadSelfAttention::backward`] differentiates the split
-//! projections. An **Infer** forward is cache-free: it neither clones
-//! into nor retains the backward cache (a previous train cache is
-//! dropped), and every intermediate — projections, score tiles, context
-//! tiles, the merged context — is recycled through the scratch arena,
-//! so steady-state inference retains zero attention bytes and allocates
-//! nothing.
+//! exposes to explainability tools). An **Infer** forward is
+//! cache-free: it neither clones into nor retains the backward cache (a
+//! previous train cache is dropped), and every intermediate —
+//! projections, score tiles, context tiles, the merged context — is
+//! recycled through the scratch arena, so steady-state inference
+//! retains zero attention bytes and allocates nothing. Both modes
+//! produce the same bits.
 
 use pragformer_obs as obs;
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::quantize::{
-    matmul_quant_reuse, QuantEpilogue, QuantizedActivations, QuantizedMatrix,
-};
+use pragformer_tensor::kernel::quantize::QuantizedActivations;
 use pragformer_tensor::nn::{Layer, Linear, Param};
-use pragformer_tensor::ops::{self, PackedWeights};
+use pragformer_tensor::ops;
 use pragformer_tensor::parallel::par_map_indexed;
 use pragformer_tensor::{scratch, Tensor};
 use std::sync::{Arc, OnceLock};
 
 /// Counts one per-`(batch, head)` score/context tile into
-/// `pragformer_attn_tile_dispatch_total{path}`.
+/// `pragformer_attn_tile_dispatch_total`.
 #[inline]
-fn record_tile_dispatch(fused: bool) {
+fn record_tile_dispatch() {
     if !obs::enabled() {
         return;
     }
-    static CELLS: [OnceLock<Arc<obs::Counter>>; 2] = [const { OnceLock::new() }; 2];
-    CELLS[fused as usize]
+    static TILES: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    TILES
         .get_or_init(|| {
             obs::counter(
                 "pragformer_attn_tile_dispatch_total",
                 "Per-(batch, head) attention score/context tiles dispatched",
-                &[("path", if fused { "fused" } else { "split" })],
-            )
-        })
-        .inc();
-}
-
-/// Counts one fused-QKV cache build into
-/// `pragformer_attn_fused_qkv_builds_total` — a steady-state inference
-/// loop shows a zero delta here once warm.
-#[inline]
-fn record_fused_build() {
-    if !obs::enabled() {
-        return;
-    }
-    static BUILDS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    BUILDS
-        .get_or_init(|| {
-            obs::counter(
-                "pragformer_attn_fused_qkv_builds_total",
-                "Fused QKV weight cache builds (pack or quantize of wq|wk|wv)",
                 &[],
             )
         })
         .inc();
-}
-
-/// Counts one fused single-GEMM QKV projection into
-/// `pragformer_attn_fused_qkv_hits_total`.
-#[inline]
-fn record_fused_hit() {
-    if !obs::enabled() {
-        return;
-    }
-    static HITS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    HITS.get_or_init(|| {
-        obs::counter(
-            "pragformer_attn_fused_qkv_hits_total",
-            "QKV projections served by the fused single-GEMM fast path",
-            &[],
-        )
-    })
-    .inc();
 }
 
 /// Multi-head self-attention block (projections + scaled dot-product +
@@ -136,9 +85,6 @@ pub struct MultiHeadSelfAttention {
     n_heads: usize,
     d_model: usize,
     cache: Option<Cache>,
-    /// Inference-only fused `wq|wk|wv` cache; present iff the fast path
-    /// is configured (see [`Self::configure_inference_caches`]).
-    fused: Option<FusedQkv>,
 }
 
 struct Cache {
@@ -150,37 +96,6 @@ struct Cache {
     v: Tensor,
     /// Attention probabilities per (batch, head): `[seq, seq]`.
     probs: Vec<Tensor>,
-}
-
-/// The fused `[d_model, 3·d_model]` Q|K|V projection cache: the three
-/// weight matrices concatenated column-wise (`Q` columns first, then
-/// `K`, then `V`) plus the matching `[3·d_model]` bias. Like the
-/// [`Linear`] caches it is inference-only, superseded by any parameter
-/// mutation, and dropped by `visit_params`.
-struct FusedQkv {
-    /// Concatenated `bq|bk|bv`.
-    bias: Tensor,
-    form: FusedForm,
-}
-
-/// Which kernel path the fused QKV GEMM runs on — mirrors the
-/// per-[`Linear`] cache lattice (int8 wins, then prepacked f32, then
-/// pack-per-call f32).
-enum FusedForm {
-    /// Pre-packed f32 panels (zero-repack inference).
-    Packed(PackedWeights),
-    /// Plain concatenated f32 weights (pack-per-call, the
-    /// `PRAGFORMER_PREPACK=off` regime).
-    Plain(Tensor),
-    /// Per-column int8 copy (quantized inference).
-    Quant(QuantizedMatrix),
-}
-
-/// The projection stage's output: one fused `[batch*seq, 3·d_model]`
-/// tensor, or the legacy three `[batch*seq, d_model]` tensors.
-enum Proj {
-    Fused(Tensor),
-    Split(Tensor, Tensor, Tensor),
 }
 
 impl MultiHeadSelfAttention {
@@ -195,125 +110,14 @@ impl MultiHeadSelfAttention {
             n_heads,
             d_model,
             cache: None,
-            fused: None,
         }
-    }
-
-    /// The concatenated `[d_model, 3·d_model]` Q|K|V weight matrix, on
-    /// arena capacity (transient: the ensure methods consume or return
-    /// it).
-    fn fused_weight(&self) -> Tensor {
-        let d = self.d_model;
-        let mut data = scratch::take(d * 3 * d);
-        for p in 0..d {
-            data.extend_from_slice(self.wq.w.value.row(p));
-            data.extend_from_slice(self.wk.w.value.row(p));
-            data.extend_from_slice(self.wv.w.value.row(p));
-        }
-        Tensor::from_vec(&[d, 3 * d], data)
-    }
-
-    /// The concatenated `[3·d_model]` Q|K|V bias.
-    fn fused_bias(&self) -> Tensor {
-        let mut data = Vec::with_capacity(3 * self.d_model);
-        data.extend_from_slice(self.wq.b.value.data());
-        data.extend_from_slice(self.wk.b.value.data());
-        data.extend_from_slice(self.wv.b.value.data());
-        Tensor::from_vec(&[3 * self.d_model], data)
-    }
-
-    /// Builds (or keeps) the f32 fused QKV cache: pre-packed panels when
-    /// `packed`, the plain concatenated matrix otherwise. Idempotent per
-    /// form; switching forms rebuilds.
-    fn ensure_fused_f32(&mut self, packed: bool) {
-        let have = matches!(
-            (&self.fused, packed),
-            (Some(FusedQkv { form: FusedForm::Packed(_), .. }), true)
-                | (Some(FusedQkv { form: FusedForm::Plain(_), .. }), false)
-        );
-        if have {
-            return;
-        }
-        let w = self.fused_weight();
-        let form = if packed {
-            let pw = PackedWeights::pack(&w);
-            scratch::give(w.into_data());
-            FusedForm::Packed(pw)
-        } else {
-            FusedForm::Plain(w)
-        };
-        record_fused_build();
-        self.fused = Some(FusedQkv { bias: self.fused_bias(), form });
-    }
-
-    /// Builds (or keeps) the int8 fused QKV cache. Per-column scales of
-    /// the concatenation are exactly the three matrices' scales side by
-    /// side, so fused int8 projections stay bitwise identical to three
-    /// quantized GEMMs over the same quantized activations.
-    fn ensure_fused_int8(&mut self) {
-        if matches!(&self.fused, Some(FusedQkv { form: FusedForm::Quant(_), .. })) {
-            return;
-        }
-        let w = self.fused_weight();
-        let qw = QuantizedMatrix::quantize(&w);
-        scratch::give(w.into_data());
-        record_fused_build();
-        self.fused = Some(FusedQkv { bias: self.fused_bias(), form: FusedForm::Quant(qw) });
-    }
-
-    /// Configures every inference weight cache this block holds in one
-    /// idempotent pass: int8 / packed per-[`Linear`] caches, and the
-    /// fused QKV cache when `fused`. While the fused cache is up the
-    /// per-projection `wq`/`wk`/`wv` caches are redundant (the fused
-    /// panels supersede them at — for `NR`-multiple `d_model` — the
-    /// same byte cost) and are dropped; `wo` keeps its own cache in
-    /// every regime because its epilogues are call-site specific.
-    pub fn configure_inference_caches(&mut self, int8: bool, packed: bool, fused: bool) {
-        if fused {
-            if int8 {
-                self.ensure_fused_int8();
-            } else {
-                self.ensure_fused_f32(packed);
-            }
-        } else {
-            self.fused = None;
-        }
-        for lin in [&mut self.wq, &mut self.wk, &mut self.wv] {
-            if int8 && !fused {
-                lin.ensure_quantized();
-            } else {
-                lin.drop_quantized();
-            }
-            if packed && !int8 && !fused {
-                lin.ensure_packed();
-            } else {
-                lin.drop_packed();
-            }
-        }
-        if int8 {
-            self.wo.ensure_quantized();
-        } else {
-            self.wo.drop_quantized();
-        }
-        if packed && !int8 {
-            self.wo.ensure_packed();
-        } else {
-            self.wo.drop_packed();
-        }
-    }
-
-    /// Whether the fused QKV fast-path cache is currently built.
-    pub fn fused_active(&self) -> bool {
-        self.fused.is_some()
     }
 
     /// Extracts a `[seq, d_head]` tile of sequence `b` starting at
-    /// column `col0` from a `[batch*seq, *]` tensor — head `h` of a
-    /// split projection sits at `col0 = h·d_head`; the fused layout
-    /// adds a section offset (`0` / `d_model` / `2·d_model` for
-    /// Q/K/V). The tile rides on [`scratch`] capacity (no zero fill);
-    /// the forward pass gives it back once consumed, so steady-state
-    /// tiles allocate nothing.
+    /// column `col0` from a `[batch*seq, d_model]` tensor — head `h`
+    /// sits at `col0 = h·d_head`. The tile rides on [`scratch`] capacity
+    /// (no zero fill); the forward pass gives it back once consumed, so
+    /// steady-state tiles allocate nothing.
     fn head_tile(&self, x: &Tensor, b: usize, col0: usize, seq: usize) -> Tensor {
         let dh = self.d_model / self.n_heads;
         let mut data = scratch::take(seq * dh);
@@ -398,49 +202,21 @@ impl MultiHeadSelfAttention {
         out
     }
 
-    /// Runs the projection stage: the fused single GEMM at inference
-    /// when the fast-path cache is up, the legacy three GEMMs otherwise
-    /// (with `x` quantized **once** for all three when the projection
-    /// weights hold int8 copies — the quantize-once reuse pinned by the
-    /// tensor crate's `int8_kernel_proptests`).
-    fn project(&mut self, x: &Tensor, train: bool) -> Proj {
-        if !train {
-            if let Some(f) = &self.fused {
-                record_fused_hit();
-                let out = match &f.form {
-                    FusedForm::Quant(qw) => {
-                        let qx = QuantizedActivations::quantize(x);
-                        let y = matmul_quant_reuse(&qx, qw, QuantEpilogue::Bias(f.bias.data()));
-                        qx.recycle();
-                        y
-                    }
-                    FusedForm::Packed(pw) => {
-                        let mut y = ops::matmul_prepacked(x, pw);
-                        ops::add_bias(&mut y, &f.bias);
-                        y
-                    }
-                    FusedForm::Plain(w) => {
-                        let mut y = ops::matmul(x, w);
-                        ops::add_bias(&mut y, &f.bias);
-                        y
-                    }
-                };
-                return Proj::Fused(out);
-            }
-        }
+    /// Runs the projection stage: three GEMMs, with `x` quantized
+    /// **once** for all three when the projection weights hold int8
+    /// copies.
+    fn project(&mut self, x: &Tensor, train: bool) -> (Tensor, Tensor, Tensor) {
         if self.wq.is_quantized() {
             let qx = QuantizedActivations::quantize(x);
-            let q = self.wq.forward_quant(&qx);
-            let k = self.wk.forward_quant(&qx);
-            let v = self.wv.forward_quant(&qx);
+            let qkv = (
+                self.wq.forward_quant(&qx),
+                self.wk.forward_quant(&qx),
+                self.wv.forward_quant(&qx),
+            );
             qx.recycle();
-            Proj::Split(q, k, v)
+            qkv
         } else {
-            Proj::Split(
-                self.wq.forward(x, train),
-                self.wk.forward(x, train),
-                self.wv.forward(x, train),
-            )
+            (self.wq.forward(x, train), self.wk.forward(x, train), self.wv.forward(x, train))
         }
     }
 
@@ -460,8 +236,7 @@ impl MultiHeadSelfAttention {
         assert_eq!(x.rows(), batch * seq, "activation rows");
         assert_eq!(valid.len(), batch, "valid lengths");
         let d = self.d_model;
-        let proj = self.project(x, train);
-        let fused_path = matches!(proj, Proj::Fused(_));
+        let (q, k, v) = self.project(x, train);
         let dh = d / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut context =
@@ -472,31 +247,16 @@ impl MultiHeadSelfAttention {
         let tiles = par_map_indexed(batch * self.n_heads, 2, |bh| {
             let (b, h) = (bh / self.n_heads, bh % self.n_heads);
             let vb = valid[b].clamp(1, seq);
-            record_tile_dispatch(fused_path);
-            let (qt, ktt, vt) = match &proj {
-                Proj::Fused(qkv) => (
-                    self.head_tile(qkv, b, h * dh, seq),
-                    self.head_tile_t(qkv, b, d + h * dh, seq),
-                    self.head_tile(qkv, b, 2 * d + h * dh, seq),
-                ),
-                Proj::Split(q, k, v) => (
-                    self.head_tile(q, b, h * dh, seq),
-                    self.head_tile_t(k, b, h * dh, seq),
-                    self.head_tile(v, b, h * dh, seq),
-                ),
-            };
+            record_tile_dispatch();
+            let qt = self.head_tile(&q, b, h * dh, seq);
+            let ktt = self.head_tile_t(&k, b, h * dh, seq);
+            let vt = self.head_tile(&v, b, h * dh, seq);
             // The per-call K/V tiles are too transient to pre-pack:
             // matmul_unpacked runs the simple kernel (bitwise identical
             // to the packed path) with zero pack builds per call.
             let mut scores = ops::matmul_unpacked(&qt, &ktt);
-            if fused_path {
-                // Single-pass masked epilogue — bitwise identical to the
-                // two-pass scale-then-softmax below on every tier.
-                ops::softmax_rows_scaled_uniform(&mut scores, scale, vb);
-            } else {
-                scores.map_in_place(|s| s * scale);
-                ops::softmax_rows_uniform(&mut scores, vb);
-            }
+            scores.map_in_place(|s| s * scale);
+            ops::softmax_rows_uniform(&mut scores, vb);
             let ctx = ops::matmul_unpacked(&scores, &vt);
             scratch::give(qt.into_data());
             scratch::give(ktt.into_data());
@@ -519,28 +279,21 @@ impl MultiHeadSelfAttention {
         }
         // Train retains the backward cache; inference retains nothing —
         // not even a previous train forward's cache.
-        self.cache = match proj {
-            Proj::Split(q, k, v) if train => Some(Cache { batch, seq, q, k, v, probs }),
-            Proj::Split(q, k, v) => {
-                scratch::give(q.into_data());
-                scratch::give(k.into_data());
-                scratch::give(v.into_data());
-                None
-            }
-            Proj::Fused(qkv) => {
-                scratch::give(qkv.into_data());
-                None
-            }
+        self.cache = if train {
+            Some(Cache { batch, seq, q, k, v, probs })
+        } else {
+            scratch::give(q.into_data());
+            scratch::give(k.into_data());
+            scratch::give(v.into_data());
+            None
         };
         context
     }
 
     /// Backward pass; returns gradient w.r.t. the input activations.
     /// Requires a preceding **train** forward (inference forwards are
-    /// cache-free) and refuses to run while the inference-only fused
-    /// cache is up, mirroring the [`Linear`] backward asserts.
+    /// cache-free).
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert!(self.fused.is_none(), "attention backward with fused (inference-only) caches");
         let cache = self.cache.take().expect("attention backward before forward");
         let Cache { batch, seq, q, k, v, probs } = cache;
         let dh = self.d_model / self.n_heads;
@@ -582,18 +335,15 @@ impl MultiHeadSelfAttention {
         dx
     }
 
-    /// Visits the four projection layers' parameters. Handing out
-    /// `&mut Param` can change the weights, so the fused QKV cache (a
-    /// derived copy, like the per-layer int8/packed ones) is dropped.
+    /// Visits the four projection layers' parameters.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.fused = None;
         self.wq.visit_params(f);
         self.wk.visit_params(f);
         self.wv.visit_params(f);
         self.wo.visit_params(f);
     }
 
-    /// Visits the four projection layers themselves (int8 cache
+    /// Visits the four projection layers themselves (weight-cache
     /// management, weight accounting).
     pub fn for_each_linear(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         f(&mut self.wq);
@@ -624,6 +374,7 @@ impl MultiHeadSelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pragformer_tensor::nn::WeightCache;
 
     fn rng() -> SeededRng {
         SeededRng::new(12)
@@ -660,62 +411,23 @@ mod tests {
 
     #[test]
     fn inference_forward_is_cache_free_and_bitwise_equal_to_train() {
-        let mut r = rng();
-        let mut attn = MultiHeadSelfAttention::new("a", 8, 2, &mut r);
-        let x = Tensor::randn(&[2 * 4, 8], 1.0, &mut r);
-        let y_train = attn.forward(&x, 2, 4, &[4, 2], true);
-        assert!(attn.last_probs().is_some(), "train forward must retain probs");
-        attn.cache = None;
-        let y_infer = attn.forward(&x, 2, 4, &[4, 2], false);
-        assert_eq!(y_train, y_infer, "mode must not change bits");
-        assert!(attn.last_probs().is_none(), "infer forward must retain nothing");
-        // An inference forward must also drop a previous train cache.
-        let _ = attn.forward(&x, 2, 4, &[4, 2], true);
-        assert!(attn.last_probs().is_some());
-        let _ = attn.forward(&x, 2, 4, &[4, 2], false);
-        assert!(attn.last_probs().is_none(), "infer forward kept an older train cache");
-    }
-
-    #[test]
-    fn fused_paths_are_bitwise_equal_to_split() {
-        // The fused single-GEMM projection + single-pass softmax must be
-        // bitwise identical to the legacy path in every cache regime,
-        // including a d_model that is not a multiple of the pack width.
-        for (d_model, n_heads, batch, seq) in [(8usize, 2usize, 2usize, 5usize), (12, 3, 1, 7)] {
+        // Eval forwards run on pre-packed panels and must reproduce the
+        // plain-f32 train forward bit for bit, including for a d_model
+        // that is not a multiple of the pack width.
+        for (d_model, n_heads, batch, seq) in [(8usize, 2usize, 2usize, 4usize), (12, 3, 1, 7)] {
             let mut r = SeededRng::new(d_model as u64);
             let mut attn = MultiHeadSelfAttention::new("a", d_model, n_heads, &mut r);
             let x = Tensor::randn(&[batch * seq, d_model], 1.0, &mut r);
-            let valid: Vec<usize> = (0..batch).map(|b| seq - b).collect();
-            let baseline = attn.forward(&x, batch, seq, &valid, false);
-            for (int8, packed) in [(false, false), (false, true), (true, false)] {
-                attn.configure_inference_caches(int8, packed, true);
-                assert!(attn.fused_active());
-                let fused = attn.forward(&x, batch, seq, &valid, false);
-                if int8 {
-                    // int8 quantizes; compare against the unfused int8 path.
-                    attn.configure_inference_caches(true, false, false);
-                    let split = attn.forward(&x, batch, seq, &valid, false);
-                    assert_eq!(fused, split, "int8 fused != split (d={d_model})");
-                } else {
-                    assert_eq!(
-                        fused, baseline,
-                        "f32 fused(packed={packed}) != split (d={d_model})"
-                    );
-                }
-            }
-            attn.configure_inference_caches(false, false, false);
-            assert!(!attn.fused_active());
+            let valid: Vec<usize> = (0..batch).map(|b| seq - 2 * b).collect();
+            let y_train = attn.forward(&x, batch, seq, &valid, true);
+            assert!(attn.last_probs().is_some(), "train forward must retain probs");
+            attn.for_each_linear(&mut |lin| lin.set_weight_cache(WeightCache::Packed));
+            let y_infer = attn.forward(&x, batch, seq, &valid, false);
+            assert_eq!(y_train, y_infer, "mode must not change bits (d={d_model})");
+            // An inference forward retains nothing, not even the
+            // previous train forward's cache.
+            assert!(attn.last_probs().is_none(), "infer forward kept an older train cache");
         }
-    }
-
-    #[test]
-    fn visit_params_drops_fused_cache() {
-        let mut r = rng();
-        let mut attn = MultiHeadSelfAttention::new("a", 8, 2, &mut r);
-        attn.configure_inference_caches(false, true, true);
-        assert!(attn.fused_active());
-        attn.visit_params(&mut |_| {});
-        assert!(!attn.fused_active(), "fused cache survived visit_params");
     }
 
     #[test]

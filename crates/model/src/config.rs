@@ -43,8 +43,7 @@ impl ModelConfig {
     }
 
     /// Paper-shaped profile: sequence cap 110 like PragFormer's input,
-    /// wider and deeper (still far from 125M parameters — documented as a
-    /// substitution in DESIGN.md).
+    /// wider and deeper (still far from the paper's 125M parameters).
     pub fn paper(vocab: usize) -> Self {
         Self {
             vocab,

@@ -5,7 +5,7 @@ use crate::config::ModelConfig;
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::quantize::QuantizedActivations;
 use pragformer_tensor::nn::{
-    Activation, ActivationKind, Dropout, Embedding, Layer, LayerNorm, Linear, Param,
+    Activation, ActivationKind, Dropout, Embedding, Layer, LayerNorm, Linear, Param, WeightCache,
 };
 use pragformer_tensor::Tensor;
 
@@ -100,7 +100,7 @@ impl EncoderBlock {
         self.attn.last_probs()
     }
 
-    /// Visits every dense layer in the block (int8 cache management,
+    /// Visits every dense layer in the block (weight-cache management,
     /// weight accounting).
     pub fn for_each_linear(&mut self, f: &mut dyn FnMut(&mut Linear)) {
         self.attn.for_each_linear(f);
@@ -221,38 +221,16 @@ impl Encoder {
         self.blocks.last().and_then(EncoderBlock::last_attention)
     }
 
-    /// Configures every inference weight cache in one idempotent pass:
-    /// `int8` builds (or drops, when false) the quantized copies of all
-    /// weight matrices and embedding tables, `packed` the pre-packed f32
-    /// panels, and `fused_attn` the per-block fused QKV cache. The
-    /// attention blocks own their projection caches so the fused cache
-    /// can *replace* the per-projection `wq`/`wk`/`wv` copies instead of
-    /// duplicating them — calling this per eval forward is cheap because
-    /// every already-built cache is kept, and nothing is rebuilt when a
-    /// regime stays put (the pack/quantize counters stay flat in steady
-    /// state).
-    pub fn configure_inference_caches(&mut self, int8: bool, packed: bool, fused_attn: bool) {
-        if int8 {
-            self.tok.ensure_quantized();
-            self.pos.ensure_quantized();
-        } else {
-            self.tok.drop_quantized();
-            self.pos.drop_quantized();
-        }
+    /// Makes every weight matrix and embedding table hold the derived
+    /// copy `cache` names (see [`WeightCache`]), in one idempotent pass
+    /// over the [`Linear`] visitors: an already-built copy is kept, so
+    /// calling this per forward rebuilds nothing while the regime stays
+    /// put (the pack/quantize counters stay flat in steady state).
+    pub fn set_weight_cache(&mut self, cache: WeightCache) {
+        self.tok.set_weight_cache(cache);
+        self.pos.set_weight_cache(cache);
         for blk in &mut self.blocks {
-            blk.attn.configure_inference_caches(int8, packed, fused_attn);
-            for lin in [&mut blk.ff1, &mut blk.ff2] {
-                if int8 {
-                    lin.ensure_quantized();
-                } else {
-                    lin.drop_quantized();
-                }
-                if packed && !int8 {
-                    lin.ensure_packed();
-                } else {
-                    lin.drop_packed();
-                }
-            }
+            blk.for_each_linear(&mut |lin| lin.set_weight_cache(cache));
         }
     }
 
@@ -264,11 +242,6 @@ impl Encoder {
     /// Whether the pre-packed weight copies are currently built.
     pub fn packed_active(&self) -> bool {
         self.blocks.first().is_some_and(|blk| blk.ff1.is_packed())
-    }
-
-    /// Whether the fused QKV attention caches are currently built.
-    pub fn attn_fused_active(&self) -> bool {
-        self.blocks.first().is_some_and(|blk| blk.attn.fused_active())
     }
 
     /// Bytes retained by the attention backward caches across every

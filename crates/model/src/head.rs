@@ -21,8 +21,10 @@ use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::quantize::{
     QuantizedActivations, QuantizedEmbedding, QuantizedMatrix,
 };
-use pragformer_tensor::kernel::{active_tier, attn_fused_enabled, prepack_enabled, KernelTier};
-use pragformer_tensor::nn::{Activation, ActivationKind, Dropout, Layer, Linear, Param};
+use pragformer_tensor::kernel::{active_tier, KernelTier};
+use pragformer_tensor::nn::{
+    Activation, ActivationKind, Dropout, Layer, Linear, Param, WeightCache,
+};
 use pragformer_tensor::ops::PackedWeights;
 use pragformer_tensor::Tensor;
 
@@ -42,42 +44,18 @@ pub struct Trunk {
     /// compare both paths without flipping the global tier under
     /// concurrently running models.
     int8_override: Option<bool>,
-    /// Per-model override of the f32 pre-packing decision: `Some(true)`
-    /// forces packed panels, `Some(false)` forces pack-per-call, `None`
-    /// follows the process-wide [`prepack_enabled`] switch. Irrelevant
-    /// while the int8 path is active (int8 wins).
-    prepack_override: Option<bool>,
-    /// Per-model override of the fused-attention decision: `Some(true)`
-    /// forces the fused QKV + single-pass-softmax fast path at
-    /// inference, `Some(false)` forces the legacy split path, `None`
-    /// follows the process-wide [`attn_fused_enabled`] switch
-    /// (`PRAGFORMER_ATTN`). Orthogonal to the int8/prepack axes — the
-    /// fused cache takes whatever form the active tier implies.
-    attn_fused_override: Option<bool>,
 }
 
 impl Trunk {
     /// Builds a trunk from a config and seed.
     pub fn new(cfg: &ModelConfig, rng: &mut SeededRng) -> Self {
-        Self {
-            encoder: Encoder::new(cfg, rng),
-            cache: None,
-            int8_override: None,
-            prepack_override: None,
-            attn_fused_override: None,
-        }
+        Self::from_encoder(Encoder::new(cfg, rng))
     }
 
     /// Wraps an already-built encoder (e.g. one restored from MLM
     /// pre-training).
     pub fn from_encoder(encoder: Encoder) -> Self {
-        Self {
-            encoder,
-            cache: None,
-            int8_override: None,
-            prepack_override: None,
-            attn_fused_override: None,
-        }
+        Self { encoder, cache: None, int8_override: None }
     }
 
     /// Sets the model-local int8 override (see the field docs). Takes
@@ -91,52 +69,28 @@ impl Trunk {
         self.int8_override
     }
 
-    /// Sets the model-local pre-packing override (see the field docs).
-    /// Takes effect on the next eval forward.
-    pub fn set_prepack_override(&mut self, force: Option<bool>) {
-        self.prepack_override = force;
-    }
-
-    /// The current model-local pre-packing override.
-    pub fn prepack_override(&self) -> Option<bool> {
-        self.prepack_override
-    }
-
-    /// Sets the model-local fused-attention override (see the field
-    /// docs). Takes effect on the next eval forward.
-    pub fn set_attn_fused_override(&mut self, force: Option<bool>) {
-        self.attn_fused_override = force;
-    }
-
-    /// The current model-local fused-attention override.
-    pub fn attn_fused_override(&self) -> Option<bool> {
-        self.attn_fused_override
-    }
-
-    /// Whether the next eval forward will run on pre-packed f32 panels
-    /// (the override, or the process-wide switch when unset; always
-    /// `false` when the int8 path wins).
-    pub fn wants_prepack(&self) -> bool {
-        self.inference_wants().1
-    }
-
-    /// The cache regimes an eval forward runs under: `(int8, packed,
-    /// fused_attn)` after applying the model-local overrides on top of
-    /// the process-wide switches (int8 wins over packed; fused attention
-    /// is orthogonal and takes whichever form the winner implies).
-    fn inference_wants(&self) -> (bool, bool, bool) {
-        let int8 = self.int8_override.unwrap_or_else(|| active_tier() == KernelTier::Int8);
-        let packed = !int8 && self.prepack_override.unwrap_or_else(prepack_enabled);
-        let fused = self.attn_fused_override.unwrap_or_else(attn_fused_enabled);
-        (int8, packed, fused)
+    /// The weight copies a forward in this mode runs on: none while
+    /// training (backward refuses to run over inference caches), int8
+    /// copies for eval under the int8 tier — or the model-local
+    /// override — and pre-packed f32 panels for every other eval
+    /// forward. Heads take the same value
+    /// ([`ClassifierHead::set_weight_cache`]).
+    pub fn weight_cache(&self, train: bool) -> WeightCache {
+        if train {
+            WeightCache::None
+        } else if self.int8_override.unwrap_or_else(|| active_tier() == KernelTier::Int8) {
+            WeightCache::Int8
+        } else {
+            WeightCache::Packed
+        }
     }
 
     /// Eagerly builds the weight caches the next eval forward would use
-    /// (int8 copies, pre-packed f32 panels, fused QKV panels), moving
-    /// the one-time pack/quantize cost out of the first request.
+    /// (int8 copies or pre-packed f32 panels), moving the one-time
+    /// pack/quantize cost out of the first request.
     pub fn prepack_for_inference(&mut self) {
-        let (int8, packed, fused) = self.inference_wants();
-        self.encoder.configure_inference_caches(int8, packed, fused);
+        let cache = self.weight_cache(false);
+        self.encoder.set_weight_cache(cache);
         if pragformer_obs::enabled() && pragformer_obs::log_enabled(pragformer_obs::Level::Info) {
             let wb = self.weight_bytes();
             pragformer_obs::log_kv(
@@ -144,7 +98,7 @@ impl Trunk {
                 "model.trunk",
                 "trunk inference caches built",
                 &[
-                    ("path", if int8 { "int8" } else { "f32" }),
+                    ("path", if cache == WeightCache::Int8 { "int8" } else { "f32" }),
                     ("f32_bytes", &wb.f32_bytes.to_string()),
                     ("int8_bytes", &wb.int8_bytes.to_string()),
                     ("quant_scratch_bytes", &wb.quant_scratch_bytes.to_string()),
@@ -190,21 +144,11 @@ impl Trunk {
         seq: usize,
         train: bool,
     ) -> Tensor {
-        // Inference cache regimes are gated here (not in the layers):
-        // eval forwards under the Int8 tier — or a model-local override
-        // — run on int8 weight copies, f32 eval forwards on pre-packed
-        // panels, and the attention blocks on fused QKV caches; training
-        // always runs plain f32 with everything torn down (backward
-        // refuses to run over inference caches). The configure pass is
-        // idempotent and the copies are invalidated by any parameter
-        // mutation, so this stays correct across train/eval
-        // interleavings and checkpoint restores.
-        if train {
-            self.encoder.configure_inference_caches(false, false, false);
-        } else {
-            let (int8, packed, fused) = self.inference_wants();
-            self.encoder.configure_inference_caches(int8, packed, fused);
-        }
+        // Weight caches are chosen here, not in the layers (see
+        // `weight_cache`). Setting them is idempotent and the copies are
+        // invalidated by any parameter mutation, so this stays correct
+        // across train/eval interleavings and checkpoint restores.
+        self.encoder.set_weight_cache(self.weight_cache(train));
         let batch = ids.len() / seq.max(1);
         // Eval-only padded-length clamp (see the doc comment): run at
         // the longest valid prefix instead of the caller's padding.
@@ -313,11 +257,6 @@ pub struct TrunkWeightBytes {
     /// one panel-packed copy per weight matrix (`⌈n/NR⌉·k·NR` floats
     /// each). Embedding tables, biases and LN params hold no packed
     /// form, so this is ≈ +1× the weight-matrix share of `f32_bytes`.
-    /// With the fused attention fast path active the per-layer Q/K/V
-    /// panels are held as one `[d, 3d]` pack instead of three `[d, d]`
-    /// packs — identical bytes for `NR`-multiple `d_model` (every real
-    /// profile) and never more, so this total stays an exact/upper
-    /// accounting either way.
     pub prepacked_bytes: usize,
     /// *Additional* bytes retained by the scratch arena's i8 lane while
     /// int8 inference is active: per-sequence quantized activations
@@ -390,23 +329,12 @@ impl ClassifierHead {
         f(&mut self.fc2);
     }
 
-    /// Builds (or keeps) pre-packed panels for both dense layers. Heads
+    /// Makes both dense layers hold the weight copy for `cache`. Heads
     /// always run f32 — the int8 tier quantizes only the trunk — so
-    /// head packing applies under every kernel tier.
-    pub fn ensure_packed(&mut self) {
-        self.fc1.ensure_packed();
-        self.fc2.ensure_packed();
-    }
-
-    /// Drops the packed copies; forwards return to pack-per-call f32.
-    pub fn drop_packed(&mut self) {
-        self.fc1.drop_packed();
-        self.fc2.drop_packed();
-    }
-
-    /// Whether the packed copies are currently built.
-    pub fn is_packed(&self) -> bool {
-        self.fc1.is_packed()
+    /// [`WeightCache::Int8`] packs them like [`WeightCache::Packed`].
+    pub fn set_weight_cache(&mut self, cache: WeightCache) {
+        let cache = if cache == WeightCache::None { cache } else { WeightCache::Packed };
+        self.for_each_linear(&mut |lin| lin.set_weight_cache(cache));
     }
 }
 
@@ -490,61 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn prepack_override_is_bitwise_and_training_restores() {
-        let cfg = ModelConfig::tiny(12);
-        let mut rng = SeededRng::new(8);
-        let mut trunk = Trunk::new(&cfg, &mut rng);
-        let ids: Vec<usize> = (0..2 * cfg.max_len).map(|i| i % 12).collect();
-        let valid = [7usize, 9];
-        // Prepack semantics are f32-only; pin the model off int8 so a
-        // process-wide int8 tier (CI's int8 sweep) can't preempt them.
-        trunk.set_int8_override(Some(false));
-        trunk.set_prepack_override(Some(false));
-        let plain = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
-        trunk.clear_cache();
-        assert!(!trunk.encoder().packed_active());
-        trunk.set_prepack_override(Some(true));
-        assert!(trunk.wants_prepack());
-        let packed = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
-        trunk.clear_cache();
-        assert!(trunk.encoder().packed_active(), "override must build packed caches");
-        // Same tier, same panel bytes: zero-repack must be bit-for-bit.
-        assert_eq!(plain, packed, "prepacked CLS diverged from pack-per-call");
-        // A training forward must tear the packed caches down even while
-        // the override is still set (backward refuses to run with them).
-        let _ = trunk.forward_cls(&ids, &valid, cfg.max_len, true);
-        trunk.clear_cache();
-        assert!(!trunk.encoder().packed_active(), "train forward left packed caches up");
-    }
-
-    #[test]
-    fn attn_fused_override_is_bitwise_and_training_restores() {
-        let cfg = ModelConfig::tiny(12);
-        let mut rng = SeededRng::new(10);
-        let mut trunk = Trunk::new(&cfg, &mut rng);
-        let ids: Vec<usize> = (0..2 * cfg.max_len).map(|i| i % 12).collect();
-        let valid = [7usize, 9];
-        // Pin the model off int8 so the comparison is pure f32 under
-        // every process-wide tier (CI's int8 sweep).
-        trunk.set_int8_override(Some(false));
-        trunk.set_attn_fused_override(Some(false));
-        let split = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
-        trunk.clear_cache();
-        assert!(!trunk.encoder().attn_fused_active());
-        trunk.set_attn_fused_override(Some(true));
-        let fused = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
-        trunk.clear_cache();
-        assert!(trunk.encoder().attn_fused_active(), "override must build fused caches");
-        // One QKV GEMM + single-pass softmax must not move a bit.
-        assert_eq!(split, fused, "fused attention CLS diverged from split path");
-        // A training forward must tear the fused caches down even while
-        // the override is still set (backward refuses to run with them).
-        let _ = trunk.forward_cls(&ids, &valid, cfg.max_len, true);
-        trunk.clear_cache();
-        assert!(!trunk.encoder().attn_fused_active(), "train forward left fused caches up");
-    }
-
-    #[test]
     fn prepack_for_inference_packs_eagerly() {
         let cfg = ModelConfig::tiny(12);
         let mut rng = SeededRng::new(9);
@@ -552,16 +425,21 @@ mod tests {
         // Start pinned to f32 so eager packing is what's under test even
         // when the process-wide tier is forced to int8 (CI's int8 sweep).
         trunk.set_int8_override(Some(false));
-        trunk.set_prepack_override(Some(true));
         assert!(!trunk.encoder().packed_active());
         trunk.prepack_for_inference();
         assert!(trunk.encoder().packed_active(), "eager packing did nothing");
-        // int8 wins: with the int8 override set, eager packing builds
-        // the quantized caches instead of f32 panels.
+        // With the int8 override set, eager packing builds the quantized
+        // caches instead of f32 panels.
         trunk.set_int8_override(Some(true));
-        assert!(!trunk.wants_prepack());
+        assert_eq!(trunk.weight_cache(false), WeightCache::Int8);
         trunk.prepack_for_inference();
         assert!(trunk.encoder().int8_active(), "int8 override must quantize eagerly");
+        assert!(!trunk.encoder().packed_active(), "int8 caches must replace the f32 panels");
+        // A training forward tears every cache down.
+        let ids: Vec<usize> = (0..cfg.max_len).map(|i| i % 12).collect();
+        let _ = trunk.forward_cls(&ids, &[9], cfg.max_len, true);
+        trunk.clear_cache();
+        assert!(!trunk.encoder().int8_active() && !trunk.encoder().packed_active());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The PragFormer model (§4 of the paper): a transformer encoder with a
 //! two-layer classification head, plus the masked-language-model (MLM)
 //! pre-training objective that stands in for the DeepSCC-RoBERTa
-//! initialization (see DESIGN.md §2.2).
+//! initialization.
 //!
 //! Everything runs on `pragformer-tensor`'s explicit-backprop layers; each
 //! module's backward pass is validated against finite differences in the

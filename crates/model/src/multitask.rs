@@ -27,7 +27,6 @@ use crate::batching::{self, Batch, EvalStep, Objective, TrainExample, TrainLoop}
 use crate::config::ModelConfig;
 use crate::head::{ClassifierHead, Trunk};
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::prepack_enabled;
 use pragformer_tensor::loss;
 use pragformer_tensor::nn::Param;
 use pragformer_tensor::serialize::StateDict;
@@ -96,22 +95,6 @@ impl MultiTaskPragFormer {
         self.trunk.weight_bytes()
     }
 
-    /// Model-local pre-packing override for the shared trunk:
-    /// `Some(true)` forces zero-repack f32 inference, `Some(false)`
-    /// forces pack-per-call, `None` follows the process-wide
-    /// `PRAGFORMER_PREPACK` switch.
-    pub fn set_prepack_override(&mut self, force: Option<bool>) {
-        self.trunk.set_prepack_override(force);
-    }
-
-    /// Model-local fused-attention override for the shared trunk:
-    /// `Some(true)` forces the fused QKV + single-pass-softmax fast
-    /// path at inference, `Some(false)` forces the legacy split path,
-    /// `None` follows the process-wide `PRAGFORMER_ATTN` switch.
-    pub fn set_attn_fused_override(&mut self, force: Option<bool>) {
-        self.trunk.set_attn_fused_override(force);
-    }
-
     /// Bytes retained by the shared trunk's attention backward caches —
     /// zero after any eval forward (cache-free inference mode).
     pub fn retained_attention_bytes(&self) -> usize {
@@ -123,31 +106,15 @@ impl MultiTaskPragFormer {
     /// panels), moving the one-time pack cost out of the first request.
     pub fn prepack_for_inference(&mut self) {
         self.trunk.prepack_for_inference();
-        if self.head_wants_prepack() {
-            for h in &mut self.heads {
-                h.ensure_packed();
-            }
-        }
+        self.set_head_caches(false);
     }
 
-    /// Whether the heads should run on packed panels for eval forwards.
-    /// Heads are always f32 (int8 quantizes only the trunk), so this
-    /// ignores the int8 decision and applies under every kernel tier.
-    fn head_wants_prepack(&self) -> bool {
-        self.trunk.prepack_override().unwrap_or_else(prepack_enabled)
-    }
-
-    /// Applies the head packing decision before an eval (`train=false`)
-    /// or training (`train=true`) forward.
-    fn gate_head_packing(&mut self, train: bool) {
-        if !train && self.head_wants_prepack() {
-            for h in &mut self.heads {
-                h.ensure_packed();
-            }
-        } else {
-            for h in &mut self.heads {
-                h.drop_packed();
-            }
+    /// Sets the heads' weight caches for an eval (`train=false`) or
+    /// training (`train=true`) forward (see [`Trunk::weight_cache`]).
+    fn set_head_caches(&mut self, train: bool) {
+        let cache = self.trunk.weight_cache(train);
+        for h in &mut self.heads {
+            h.set_weight_cache(cache);
         }
     }
 
@@ -166,7 +133,7 @@ impl MultiTaskPragFormer {
         valid: &[usize],
         seq: usize,
     ) -> Vec<[f32; 3]> {
-        self.gate_head_packing(false);
+        self.set_head_caches(false);
         let cls = self.trunk.forward_cls(ids, valid, seq, false);
         self.trunk.clear_cache();
         let per_head: [Vec<f32>; 3] = Task::ALL.map(|t| {
@@ -185,7 +152,7 @@ impl MultiTaskPragFormer {
         valid: &[usize],
         seq: usize,
     ) -> Vec<f32> {
-        self.gate_head_packing(false);
+        self.set_head_caches(false);
         let cls = self.trunk.forward_cls(ids, valid, seq, false);
         self.trunk.clear_cache();
         let logits = self.heads[task.index()].forward(&cls, false);
@@ -205,7 +172,7 @@ impl MultiTaskPragFormer {
         labels: &[usize],
         loss_scale: f32,
     ) -> f32 {
-        self.gate_head_packing(true);
+        self.set_head_caches(true);
         let cls = self.trunk.forward_cls(ids, valid, seq, true);
         let logits = self.heads[task.index()].forward(&cls, true);
         let (l, mut dlogits) = loss::softmax_cross_entropy(&logits, labels);
@@ -228,7 +195,7 @@ impl MultiTaskPragFormer {
         seq: usize,
         labels: &[usize],
     ) -> (f32, usize) {
-        self.gate_head_packing(false);
+        self.set_head_caches(false);
         let cls = self.trunk.forward_cls(ids, valid, seq, false);
         self.trunk.clear_cache();
         let logits = self.heads[task.index()].forward(&cls, false);

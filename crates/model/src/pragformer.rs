@@ -14,7 +14,6 @@ use crate::config::ModelConfig;
 use crate::encoder::Encoder;
 use crate::head::{ClassifierHead, Trunk};
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::prepack_enabled;
 use pragformer_tensor::nn::Param;
 use pragformer_tensor::serialize::StateDict;
 use pragformer_tensor::{loss, Tensor};
@@ -56,23 +55,6 @@ impl PragFormer {
         self.trunk.weight_bytes()
     }
 
-    /// Model-local pre-packing override: `Some(true)` forces zero-repack
-    /// f32 inference, `Some(false)` forces pack-per-call, `None` follows
-    /// the process-wide `PRAGFORMER_PREPACK` switch (see
-    /// [`crate::head::Trunk::set_prepack_override`]).
-    pub fn set_prepack_override(&mut self, force: Option<bool>) {
-        self.trunk.set_prepack_override(force);
-    }
-
-    /// Model-local fused-attention override: `Some(true)` forces the
-    /// fused QKV + single-pass-softmax fast path at inference,
-    /// `Some(false)` forces the legacy split path, `None` follows the
-    /// process-wide `PRAGFORMER_ATTN` switch (see
-    /// [`crate::head::Trunk::set_attn_fused_override`]).
-    pub fn set_attn_fused_override(&mut self, force: Option<bool>) {
-        self.trunk.set_attn_fused_override(force);
-    }
-
     /// Bytes retained by the trunk's attention backward caches — zero
     /// after any eval forward (cache-free inference mode).
     pub fn retained_attention_bytes(&self) -> usize {
@@ -84,16 +66,7 @@ impl PragFormer {
     /// panels), moving the one-time pack cost out of the first request.
     pub fn prepack_for_inference(&mut self) {
         self.trunk.prepack_for_inference();
-        if self.trunk.prepack_override().unwrap_or_else(prepack_enabled) {
-            self.head.ensure_packed();
-        }
-    }
-
-    /// Whether the head should run on packed panels for an eval forward.
-    /// Heads are always f32 (int8 quantizes only the trunk), so this
-    /// ignores the int8 decision and applies under every kernel tier.
-    fn head_wants_prepack(&self) -> bool {
-        self.trunk.prepack_override().unwrap_or_else(prepack_enabled)
+        self.head.set_weight_cache(self.trunk.weight_cache(false));
     }
 
     /// Forward pass: `[batch × max_len]` ids → `[batch, n_classes]` logits.
@@ -116,11 +89,7 @@ impl PragFormer {
         seq: usize,
         train: bool,
     ) -> Tensor {
-        if !train && self.head_wants_prepack() {
-            self.head.ensure_packed();
-        } else {
-            self.head.drop_packed();
-        }
+        self.head.set_weight_cache(self.trunk.weight_cache(train));
         let cls = self.trunk.forward_cls(ids, valid, seq, train);
         self.head.forward(&cls, train)
     }

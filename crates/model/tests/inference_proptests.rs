@@ -1,14 +1,14 @@
-//! Property tests for the fused attention fast path — the inference
-//! twin of `crates/tensor/tests/kernel_tier_proptests.rs`'s fused-GEMM
-//! claims, lifted to whole models.
+//! Property tests for eval-mode trunk forwards — the model-level
+//! oracle for zero-repack inference.
 //!
-//! The contract: the fused QKV projection (one GEMM over `wq|wk|wv`)
-//! plus the single-pass masked score epilogue produce **bitwise** the
-//! same CLS representations as the legacy split path, in every cache
-//! regime (plain f32, pre-packed f32, int8), for every shape, padding
-//! and batch split. Randomized over model seeds, batch sizes, per-row
-//! valid lengths and padded lengths; the model-local overrides pin each
-//! regime so the process-wide kernel tier (swept by CI's
+//! An eval forward runs on pre-packed f32 panels, retains no backward
+//! cache and clamps the padded length to the batch's longest valid
+//! prefix; a train forward at `dropout: 0.0` runs plain `matmul` at
+//! the caller's padding. The contract: both produce **bitwise** the
+//! same CLS representations, and eval rows are invariant to batch
+//! split and padding. Randomized over model seeds, batch sizes, per-row
+//! valid lengths and padded lengths; the model-local int8 override pins
+//! the f32 path so the process-wide kernel tier (swept by CI's
 //! `PRAGFORMER_KERNEL` jobs) never interferes.
 
 use pragformer_model::{ModelConfig, Trunk};
@@ -52,42 +52,41 @@ fn bits_of(t: &pragformer_tensor::Tensor) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Fused vs split CLS bits across every inference cache regime.
+    /// Eval CLS bits (packed panels, length-clamped) equal train-mode
+    /// CLS bits (plain f32 GEMMs, caller padding) at `dropout: 0.0`.
     #[test]
-    fn trunk_cls_fused_is_bitwise_split_in_every_regime(
+    fn eval_cls_is_bitwise_train_cls(
         batch in 1usize..4,
         seq in 2usize..12,
+        pad_extra in 0usize..5,
         model_seed in 0u64..1_000,
         data_seed in 0u64..1_000,
     ) {
         let cfg = tiny_cfg(16);
         let mut rng = SeededRng::new(model_seed);
         let mut trunk = Trunk::new(&cfg, &mut rng);
-        let (ids, valid) = random_batch(batch, seq, data_seed);
-        // (int8, packed) regimes; packed is irrelevant under int8.
-        for (int8, packed) in [(false, false), (false, true), (true, false)] {
-            trunk.set_int8_override(Some(int8));
-            trunk.set_prepack_override(Some(packed));
-            trunk.set_attn_fused_override(Some(false));
-            let split = trunk.forward_cls(&ids, &valid, seq, false);
-            trunk.clear_cache();
-            prop_assert!(!trunk.encoder().attn_fused_active());
-            trunk.set_attn_fused_override(Some(true));
-            let fused = trunk.forward_cls(&ids, &valid, seq, false);
-            trunk.clear_cache();
-            prop_assert!(trunk.encoder().attn_fused_active());
-            prop_assert_eq!(
-                bits_of(&split), bits_of(&fused),
-                "int8={} packed={}: fused CLS bits diverged", int8, packed
-            );
+        trunk.set_int8_override(Some(false));
+        let (mut ids, valid) = random_batch(batch, seq, data_seed);
+        // Extra padding the eval clamp must cut and the train forward
+        // must run through.
+        let wider = seq + pad_extra;
+        if pad_extra > 0 {
+            ids = ids.chunks(seq).flat_map(|r| r.iter().copied().chain(vec![0; pad_extra])).collect();
         }
+        let train = trunk.forward_cls(&ids, &valid, wider, true);
+        trunk.clear_cache();
+        prop_assert!(!trunk.encoder().packed_active());
+        let eval = trunk.forward_cls(&ids, &valid, wider, false);
+        trunk.clear_cache();
+        prop_assert!(trunk.encoder().packed_active());
+        prop_assert_eq!(bits_of(&train), bits_of(&eval), "eval CLS bits diverged from train");
     }
 
-    /// The fast path preserves the row-determinism contract: each CLS
-    /// row of a fused batched forward is bitwise the row of a fused
-    /// batch-of-1 forward, and longer padding never moves valid bits.
+    /// Eval forwards keep the row-determinism contract: each CLS row of
+    /// a batched forward is bitwise the row of a batch-of-1 forward, and
+    /// longer padding never moves valid bits.
     #[test]
-    fn fused_cls_rows_are_batch_and_padding_invariant(
+    fn eval_cls_rows_are_batch_and_padding_invariant(
         batch in 2usize..4,
         seq in 2usize..10,
         pad_extra in 1usize..6,
@@ -98,7 +97,6 @@ proptest! {
         let mut rng = SeededRng::new(model_seed);
         let mut trunk = Trunk::new(&cfg, &mut rng);
         trunk.set_int8_override(Some(false));
-        trunk.set_attn_fused_override(Some(true));
         let (ids, valid) = random_batch(batch, seq, data_seed);
         let batched = trunk.forward_cls(&ids, &valid, seq, false);
         trunk.clear_cache();
@@ -114,7 +112,7 @@ proptest! {
             prop_assert_eq!(
                 bits_of(&one.slice_rows(0, 1)),
                 bits_of(&batched.slice_rows(b, 1)),
-                "fused CLS row {} not batch invariant", b
+                "CLS row {} not batch invariant", b
             );
             // Padding split: the same sequence padded further.
             let wider = (seq + pad_extra).min(cfg.max_len);
@@ -125,7 +123,7 @@ proptest! {
             prop_assert_eq!(
                 bits_of(&padded.slice_rows(0, 1)),
                 bits_of(&batched.slice_rows(b, 1)),
-                "fused CLS row {} not padding invariant", b
+                "CLS row {} not padding invariant", b
             );
         }
     }

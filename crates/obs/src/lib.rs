@@ -52,10 +52,8 @@
 //! | `pragformer_int8_gemm_flops_total` | counter | `simd` | tensor: `2·m·n·k` per int8 GEMM |
 //! | `pragformer_quantize_rows_total` | counter | — | tensor: activation rows dynamically quantized to i8 (quantize-once reuse shows as fewer rows per forward) |
 //! | `pragformer_weight_quant_builds_total` | counter | — | tensor: weight matrices / embedding tables quantized to i8 (zero steady-state delta under int8 inference) |
-//! | `pragformer_softmax_rows_total` | counter | `simd` | tensor: rows through the masked-softmax kernels (plain and fused-scale alike) |
-//! | `pragformer_attn_tile_dispatch_total` | counter | `path` (`fused`/`split`) | model: per-`(batch, head)` attention score/context tiles, keyed by projection path |
-//! | `pragformer_attn_fused_qkv_builds_total` | counter | — | model: fused `wq\|wk\|wv` cache builds (zero steady-state delta under fused inference) |
-//! | `pragformer_attn_fused_qkv_hits_total` | counter | — | model: QKV projections served by the fused single-GEMM fast path |
+//! | `pragformer_softmax_rows_total` | counter | `simd` | tensor: rows through the masked-softmax kernels |
+//! | `pragformer_attn_tile_dispatch_total` | counter | — | model: per-`(batch, head)` attention score/context tiles |
 //! | `pragformer_packed_weight_bytes` | gauge | — | tensor: bytes held by live `PackedWeights` copies |
 //! | `pragformer_scratch_high_water_bytes` | gauge | — | tensor: scratch-arena pooled-bytes high-water mark |
 //! | `pragformer_pool_dispatch_total` | counter | `path` (`pooled`/`inline`) | tensor: worker-pool job dispatch |

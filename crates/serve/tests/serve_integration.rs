@@ -538,10 +538,19 @@ fn tcp_metrics_scrape_coexists_with_advice() {
                 "scrape missing stage {span:?}"
             );
         }
-        assert!(
-            exposition.len() >= first_scrape.len(),
-            "exposition must not shrink as traffic accrues"
-        );
+        // Series never leave the registry: every name+labels key of the
+        // first scrape is still exposed. (Printed values may shrink in
+        // width, so byte lengths prove nothing.)
+        let series = |text: &str| -> std::collections::BTreeSet<String> {
+            text.lines()
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(|l| l.rsplit_once(' ').map_or(l, |(key, _)| key).to_string())
+                .collect()
+        };
+        let later = series(&exposition);
+        for key in series(&first_scrape) {
+            assert!(later.contains(&key), "series {key:?} vanished as traffic accrued");
+        }
     }
 
     // Unknown paths 404 without disturbing the listener.

@@ -313,62 +313,9 @@ unsafe fn softmax_row_impl(row: &mut [f32], valid: usize) {
     softmax_row_finish(row, valid, mv, buf);
 }
 
-/// Fused `·scale` + masked softmax over `[rows × n]` data with one
-/// shared `valid` prefix — the AVX2 twin of the attention fast path's
-/// single-pass score epilogue (`ops::softmax_rows_scaled_uniform`).
-///
-/// Bitwise identical to a full `* scale` sweep followed by
-/// [`softmax_rows`]: `_mm256_mul_ps` lanes (and the scalar tail
-/// multiplies) round exactly like the unfused scalar multiply, the
-/// scaled values are stored back before the shared exp/normalize finish
-/// ([`softmax_row_finish`], the same code path the unfused entry runs),
-/// and the masked tail is zeroed either way.
-pub fn softmax_rows_scaled(data: &mut [f32], n: usize, scale: f32, valid: usize) {
-    assert_supported();
-    let valid = valid.min(n);
-    // SAFETY: CPU support asserted above.
-    unsafe {
-        for row in data.chunks_mut(n) {
-            softmax_row_scaled_impl(row, scale, valid);
-        }
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-unsafe fn softmax_row_scaled_impl(row: &mut [f32], scale: f32, valid: usize) {
-    if valid == 0 {
-        row.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    let blocks = valid / NR;
-    let tail = valid % NR;
-    let sv = _mm256_set1_ps(scale);
-    // Scale fused into the max pass: multiply, store back, accumulate.
-    let mut mv = _mm256_set1_ps(f32::NEG_INFINITY);
-    for bi in 0..blocks {
-        let v = _mm256_mul_ps(_mm256_loadu_ps(row.as_ptr().add(bi * NR)), sv);
-        _mm256_storeu_ps(row.as_mut_ptr().add(bi * NR), v);
-        mv = _mm256_max_ps(mv, v);
-    }
-    let mut buf = [f32::NEG_INFINITY; NR];
-    if tail > 0 {
-        // Tail elements scale through scalar IEEE multiplies (bitwise
-        // equal to a vector lane); the −∞ pads never see the scale, so
-        // a zero or negative scale cannot poison the max.
-        for (b, v) in buf[..tail].iter_mut().zip(&mut row[blocks * NR..valid]) {
-            *v *= scale;
-            *b = *v;
-        }
-        mv = _mm256_max_ps(mv, _mm256_loadu_ps(buf.as_ptr()));
-    }
-    softmax_row_finish(row, valid, mv, buf);
-}
-
-/// Shared exp/sum/normalize finish of [`softmax_row_impl`] and
-/// [`softmax_row_scaled_impl`]: `row[..valid]` holds the (already
-/// scaled) logits, `mv` their lane-wise running max, `buf` the
-/// `−∞`-padded tail block. One code path, so the fused and unfused
-/// entries cannot drift apart.
+/// Exp/sum/normalize finish of [`softmax_row_impl`]: `row[..valid]`
+/// holds the logits, `mv` their lane-wise running max, `buf` the
+/// `−∞`-padded tail block.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn softmax_row_finish(row: &mut [f32], valid: usize, mv: __m256, mut buf: [f32; NR]) {
@@ -817,35 +764,6 @@ mod tests {
             }
             let sum: f32 = row[..valid].iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
-        }
-    }
-
-    #[test]
-    fn softmax_rows_scaled_is_bitwise_equal_to_scale_then_softmax() {
-        if !avx2_available() {
-            return;
-        }
-        let mut rng = SeededRng::new(79);
-        for &n in &[1usize, 7, 8, 21, 32] {
-            let x = Tensor::randn(&[4, n], 2.5, &mut rng);
-            for scale in [1.0f32, 0.5, 1.0 / (12.0f32).sqrt()] {
-                for valid in [0, 1, n / 2, n] {
-                    let mut fused = x.data().to_vec();
-                    super::softmax_rows_scaled(&mut fused, n, scale, valid);
-                    let mut twopass = x.data().to_vec();
-                    for v in twopass.iter_mut() {
-                        *v *= scale;
-                    }
-                    super::softmax_rows(&mut twopass, n, &mut |_| valid);
-                    for (i, (a, b)) in fused.iter().zip(&twopass).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "n={n} scale={scale} valid={valid} i={i}: {a} vs {b}"
-                        );
-                    }
-                }
-            }
         }
     }
 

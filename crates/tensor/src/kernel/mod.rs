@@ -49,12 +49,13 @@
 //!
 //! ## Pre-packed weights and weight memory
 //!
-//! The f32 tiers can additionally cache each weight matrix's packed
-//! column panels ([`crate::ops::PackedWeights`]) so inference never
-//! repacks (`PRAGFORMER_PREPACK=off|0|false` forces the legacy
-//! pack-per-call path; see [`prepack_enabled`]/[`set_prepack`]). The
-//! packed copy costs ≈ +1× the f32 weight bytes per cached matrix
-//! (exactly `⌈n/NR⌉·k·NR` floats): it is reported next to the existing
+//! On the f32 tiers every eval forward runs its weight GEMMs on cached
+//! packed column panels ([`crate::ops::PackedWeights`]), built once per
+//! weight matrix, so inference never repacks; on the int8 tier the
+//! trunk runs on quantized copies instead. Which cache a model holds is
+//! decided by the model crate from the active tier alone. The packed
+//! copy costs ≈ +1× the f32 weight bytes per cached matrix (exactly
+//! `⌈n/NR⌉·k·NR` floats): it is reported next to the existing
 //! `*_weight_bytes` accounting (`TrunkWeightBytes::prepacked_bytes` in
 //! the model crate) and live in the `pragformer_packed_weight_bytes`
 //! gauge. Training never holds packed copies (the backward pass asserts
@@ -302,95 +303,6 @@ fn init_int8_simd() -> Simd {
     }
 }
 
-/// 0 = uninitialized, 1 = prepack on, 2 = prepack off.
-static PREPACK: AtomicU8 = AtomicU8::new(0);
-
-/// Whether f32 weight pre-packing ([`crate::ops::PackedWeights`]) is
-/// wanted. Initialized lazily from `PRAGFORMER_PREPACK` (anything but
-/// `off`/`0`/`false` — including unset — means on, like
-/// `PRAGFORMER_OBS`); [`set_prepack`] overrides it in-process. Model
-/// code consults this before building or keeping packed caches; the
-/// kernels themselves accept packed operands regardless.
-#[inline]
-pub fn prepack_enabled() -> bool {
-    match PREPACK.load(Ordering::Relaxed) {
-        0 => init_prepack(),
-        v => v == 1,
-    }
-}
-
-/// Flips the prepack switch in-process (benches comparing prepacked vs
-/// repack arms, tests). Initializes from the environment first so the
-/// kill-switch log still appears when it was thrown.
-pub fn set_prepack(on: bool) {
-    let _ = prepack_enabled();
-    PREPACK.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-#[cold]
-fn init_prepack() -> bool {
-    let off = matches!(std::env::var("PRAGFORMER_PREPACK").as_deref(), Ok("off" | "0" | "false"));
-    let encoded = if off { 2 } else { 1 };
-    // First writer wins; only the winner logs the (rare) kill switch, so
-    // the line appears at most once per process.
-    if PREPACK.compare_exchange(0, encoded, Ordering::Relaxed, Ordering::Relaxed).is_ok() && off {
-        pragformer_obs::log_kv(
-            pragformer_obs::Level::Info,
-            "tensor.prepack",
-            "f32 weight pre-packing disabled",
-            &[("source", "PRAGFORMER_PREPACK")],
-        );
-    }
-    PREPACK.load(Ordering::Relaxed) == 1
-}
-
-/// 0 = uninitialized, 1 = fused on, 2 = fused off.
-static ATTN_FUSED: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the fused attention fast path (one QKV GEMM, single-pass
-/// scaled softmax, cache-free inference tiles) is wanted. Initialized
-/// lazily from `PRAGFORMER_ATTN` (anything but `unfused`/`off`/`0`/
-/// `false` — including unset — means on); [`set_attn_fused`] overrides
-/// it in-process. Model code consults this before taking the fused
-/// path; both paths are bitwise identical, so this is a pure kill
-/// switch for triage and twin benches.
-#[inline]
-pub fn attn_fused_enabled() -> bool {
-    match ATTN_FUSED.load(Ordering::Relaxed) {
-        0 => init_attn_fused(),
-        v => v == 1,
-    }
-}
-
-/// Flips the fused-attention switch in-process (benches comparing
-/// fused vs unfused arms, tests). Initializes from the environment
-/// first so the kill-switch log still appears when it was thrown.
-pub fn set_attn_fused(on: bool) {
-    let _ = attn_fused_enabled();
-    ATTN_FUSED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-#[cold]
-fn init_attn_fused() -> bool {
-    let off = matches!(
-        std::env::var("PRAGFORMER_ATTN").as_deref(),
-        Ok("unfused" | "off" | "0" | "false")
-    );
-    let encoded = if off { 2 } else { 1 };
-    // First writer wins; only the winner logs the (rare) kill switch, so
-    // the line appears at most once per process.
-    if ATTN_FUSED.compare_exchange(0, encoded, Ordering::Relaxed, Ordering::Relaxed).is_ok() && off
-    {
-        pragformer_obs::log_kv(
-            pragformer_obs::Level::Info,
-            "tensor.attn",
-            "fused attention fast path disabled",
-            &[("source", "PRAGFORMER_ATTN")],
-        );
-    }
-    ATTN_FUSED.load(Ordering::Relaxed) == 1
-}
-
 #[cold]
 fn init_tier() -> KernelTier {
     let (mut tier, mut source) = if avx2_available() {
@@ -512,38 +424,6 @@ mod tests {
         }
         set_int8_simd(initial).unwrap();
         assert_eq!(int8_simd(), initial);
-    }
-
-    #[test]
-    fn prepack_switch_toggles_and_restores() {
-        // The env decides the initial value (CI runs the suite once with
-        // PRAGFORMER_PREPACK=off); in-process toggles always win after.
-        let initial = prepack_enabled();
-        if std::env::var("PRAGFORMER_PREPACK").is_err() {
-            assert!(initial, "prepack must default to on when the env is unset");
-        }
-        set_prepack(false);
-        assert!(!prepack_enabled());
-        set_prepack(true);
-        assert!(prepack_enabled());
-        set_prepack(initial);
-        assert_eq!(prepack_enabled(), initial);
-    }
-
-    #[test]
-    fn attn_fused_switch_toggles_and_restores() {
-        // The env decides the initial value (CI runs the suite once with
-        // PRAGFORMER_ATTN=unfused); in-process toggles always win after.
-        let initial = attn_fused_enabled();
-        if std::env::var("PRAGFORMER_ATTN").is_err() {
-            assert!(initial, "fused attention must default to on when the env is unset");
-        }
-        set_attn_fused(false);
-        assert!(!attn_fused_enabled());
-        set_attn_fused(true);
-        assert!(attn_fused_enabled());
-        set_attn_fused(initial);
-        assert_eq!(attn_fused_enabled(), initial);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Token / position embedding lookup table.
 
-use super::{Layer, Param};
+use super::{Layer, Param, WeightCache};
 use crate::init::{SeededRng, EMBEDDING_STD};
 use crate::kernel::quantize::QuantizedEmbedding;
 use crate::Tensor;
@@ -13,7 +13,7 @@ use crate::Tensor;
 /// for parameter traversal, with `forward` panicking to catch misuse.
 ///
 /// Like [`super::Linear`], the table can hold an int8 copy for the
-/// quantized inference tier ([`Embedding::ensure_quantized`]): lookups
+/// quantized inference tier ([`Embedding::set_weight_cache`]): lookups
 /// then gather dequantized rows. Inference-only; dropped on
 /// `visit_params`.
 pub struct Embedding {
@@ -30,17 +30,15 @@ impl Embedding {
         Self { table: Param::new(format!("{name}.table"), table), cache_ids: None, qt: None }
     }
 
-    /// Builds (or keeps) the int8 copy of the table used by quantized
-    /// inference. Idempotent.
-    pub fn ensure_quantized(&mut self) {
-        if self.qt.is_none() {
+    /// Holds the int8 copy of the table under [`WeightCache::Int8`]
+    /// (building it if missing) and no copy otherwise: lookups are
+    /// gathers, so there is nothing to pre-pack. Idempotent.
+    pub fn set_weight_cache(&mut self, cache: WeightCache) {
+        if cache != WeightCache::Int8 {
+            self.qt = None;
+        } else if self.qt.is_none() {
             self.qt = Some(QuantizedEmbedding::quantize(&self.table.value));
         }
-    }
-
-    /// Drops the int8 copy; lookups return to f32 rows.
-    pub fn drop_quantized(&mut self) {
-        self.qt = None;
     }
 
     /// Whether quantized lookups are active.
@@ -151,7 +149,7 @@ mod tests {
         let mut rng = SeededRng::new(9);
         let mut emb = Embedding::new("tok", 8, 6, &mut rng);
         let exact = emb.lookup(&[2, 5, 2]);
-        emb.ensure_quantized();
+        emb.set_weight_cache(WeightCache::Int8);
         assert!(emb.is_quantized());
         let quant = emb.lookup(&[2, 5, 2]);
         assert_eq!(quant.row(0), quant.row(2), "duplicate ids must gather identical rows");
@@ -170,7 +168,7 @@ mod tests {
     fn quantized_backward_panics() {
         let mut rng = SeededRng::new(10);
         let mut emb = Embedding::new("tok", 5, 2, &mut rng);
-        emb.ensure_quantized();
+        emb.set_weight_cache(WeightCache::Int8);
         let _ = emb.lookup(&[1]);
         emb.backward_ids(&Tensor::zeros(&[1, 2]));
     }

@@ -8,22 +8,36 @@ use crate::kernel::quantize::{
 use crate::ops::{self, PackedWeights};
 use crate::Tensor;
 
+/// The derived weight copy a layer holds ([`Linear::set_weight_cache`],
+/// [`super::Embedding::set_weight_cache`]). One value per model decides
+/// the whole stack: no copy while training, packed f32 panels for f32
+/// inference, int8 copies for the int8 tier.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WeightCache {
+    /// Plain f32 weights only — the training regime (backward requires
+    /// it).
+    None,
+    /// Pre-packed f32 panels (zero-repack f32 inference). Embedding
+    /// tables are gathered, not multiplied, so they hold nothing here.
+    Packed,
+    /// Int8 copies (quantized inference).
+    Int8,
+}
+
 /// Dense affine transform over the last dimension.
 ///
 /// Input `[n, in]`, output `[n, out]`. Weights are Xavier-uniform
 /// initialized; the bias starts at zero.
 ///
-/// For the int8 inference tier the layer can hold a quantized copy of
-/// `W` ([`Linear::ensure_quantized`]); while present, `forward` runs the
-/// int8 GEMM instead of f32. The f32 tiers have the analogous
-/// [`Linear::ensure_packed`]: a [`PackedWeights`] copy of `W` whose
-/// panels were packed once, so `forward` skips the per-call pack while
-/// staying bitwise identical to the plain f32 path. Both caches are
-/// inference-only — `backward` refuses to run with either set — and are
-/// dropped whenever parameters are handed out mutably (`visit_params`:
-/// optimizer steps, checkpoint restores), so they can never go stale.
-/// When both are present the int8 copy wins (it exists only because a
-/// caller explicitly chose the int8 tier).
+/// At inference the layer holds one derived copy of `W`, chosen by
+/// [`Linear::set_weight_cache`]: a quantized copy for the int8 tier
+/// (`forward` then runs the int8 GEMM instead of f32), or a
+/// [`PackedWeights`] copy whose panels were packed once, so `forward`
+/// skips the per-call pack while staying bitwise identical to the plain
+/// f32 path. Both copies are inference-only — `backward` refuses to run
+/// with either set — and are dropped whenever parameters are handed out
+/// mutably (`visit_params`: optimizer steps, checkpoint restores), so
+/// they can never go stale.
 pub struct Linear {
     /// Weight matrix `[in, out]`.
     pub w: Param,
@@ -63,17 +77,21 @@ impl Linear {
         self.w.value.cols()
     }
 
-    /// Builds (or keeps) the int8 copy of `W` used by quantized
-    /// inference. Idempotent; cheap when already present.
-    pub fn ensure_quantized(&mut self) {
-        if self.qw.is_none() {
+    /// Makes this layer hold exactly the derived copy of `W` that
+    /// `cache` names, building it if missing and dropping the other.
+    /// Idempotent: a copy already held is kept, so calling this before
+    /// every forward costs nothing once warm.
+    pub fn set_weight_cache(&mut self, cache: WeightCache) {
+        if cache != WeightCache::Int8 {
+            self.qw = None;
+        } else if self.qw.is_none() {
             self.qw = Some(QuantizedMatrix::quantize(&self.w.value));
         }
-    }
-
-    /// Drops the int8 copy; `forward` returns to f32.
-    pub fn drop_quantized(&mut self) {
-        self.qw = None;
+        if cache != WeightCache::Packed {
+            self.pw = None;
+        } else if self.pw.is_none() {
+            self.pw = Some(PackedWeights::pack(&self.w.value));
+        }
     }
 
     /// Whether quantized inference is active.
@@ -85,19 +103,6 @@ impl Linear {
     /// (static accounting; does not require the cache to exist).
     pub fn quantized_weight_bytes(&self) -> usize {
         QuantizedMatrix::bytes_for(self.in_dim(), self.out_dim())
-    }
-
-    /// Builds (or keeps) the pre-packed f32 panels of `W` used by
-    /// zero-repack inference. Idempotent; cheap when already present.
-    pub fn ensure_packed(&mut self) {
-        if self.pw.is_none() {
-            self.pw = Some(PackedWeights::pack(&self.w.value));
-        }
-    }
-
-    /// Drops the packed copy; `forward` returns to pack-per-call f32.
-    pub fn drop_packed(&mut self) {
-        self.pw = None;
     }
 
     /// Whether prepacked inference is active.
@@ -114,7 +119,7 @@ impl Linear {
     /// Int8 forward over **pre-quantized** activations with the bias
     /// fused into the dequantize epilogue — the quantize-once path
     /// siblings sharing one input use (attention Q/K/V). Requires the
-    /// quantized cache ([`Linear::ensure_quantized`]).
+    /// quantized cache ([`WeightCache::Int8`]).
     pub fn forward_quant(&self, qx: &QuantizedActivations) -> Tensor {
         let qw = self.qw.as_ref().expect("forward_quant on an unquantized layer");
         matmul_quant_reuse(qx, qw, QuantEpilogue::Bias(self.b.value.data()))
@@ -243,7 +248,7 @@ mod tests {
         let mut lin = Linear::new(6, 4, &mut rng);
         let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
         let y32 = lin.forward(&x, false);
-        lin.ensure_quantized();
+        lin.set_weight_cache(WeightCache::Int8);
         assert!(lin.is_quantized());
         let y8 = lin.forward(&x, false);
         for (a, b) in y32.data().iter().zip(y8.data()) {
@@ -262,7 +267,7 @@ mod tests {
         let mut lin = Linear::new(6, 4, &mut rng);
         let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
         let y32 = lin.forward(&x, false);
-        lin.ensure_packed();
+        lin.set_weight_cache(WeightCache::Packed);
         assert!(lin.is_packed());
         assert_eq!(lin.packed_weight_bytes(), PackedWeights::bytes_for(6, 4));
         let yp = lin.forward(&x, false);
@@ -276,15 +281,15 @@ mod tests {
     }
 
     #[test]
-    fn int8_cache_wins_over_packed() {
+    fn weight_cache_holds_one_copy_at_a_time() {
         let mut rng = SeededRng::new(12);
         let mut lin = Linear::new(5, 3, &mut rng);
-        let x = Tensor::randn(&[2, 5], 1.0, &mut rng);
-        lin.ensure_quantized();
-        let y8 = lin.forward(&x, false);
-        lin.ensure_packed();
-        let y_both = lin.forward(&x, false);
-        assert_eq!(y8.data(), y_both.data(), "int8 must take priority over the packed copy");
+        lin.set_weight_cache(WeightCache::Int8);
+        assert!(lin.is_quantized() && !lin.is_packed());
+        lin.set_weight_cache(WeightCache::Packed);
+        assert!(lin.is_packed() && !lin.is_quantized());
+        lin.set_weight_cache(WeightCache::None);
+        assert!(!lin.is_packed() && !lin.is_quantized());
     }
 
     #[test]
@@ -293,7 +298,7 @@ mod tests {
         let mut rng = SeededRng::new(13);
         let mut lin = Linear::new(3, 3, &mut rng);
         let x = Tensor::randn(&[2, 3], 1.0, &mut rng);
-        lin.ensure_packed();
+        lin.set_weight_cache(WeightCache::Packed);
         let y = lin.forward(&x, true);
         let _ = lin.backward(&Tensor::full(y.shape(), 1.0));
     }
@@ -304,7 +309,7 @@ mod tests {
         let mut rng = SeededRng::new(10);
         let mut lin = Linear::new(3, 3, &mut rng);
         let x = Tensor::randn(&[2, 3], 1.0, &mut rng);
-        lin.ensure_quantized();
+        lin.set_weight_cache(WeightCache::Int8);
         let y = lin.forward(&x, true);
         let _ = lin.backward(&Tensor::full(y.shape(), 1.0));
     }

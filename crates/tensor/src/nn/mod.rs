@@ -16,7 +16,7 @@ pub use activation::{gelu, gelu_backward, relu, relu_backward, Activation, Activ
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use layernorm::LayerNorm;
-pub use linear::Linear;
+pub use linear::{Linear, WeightCache};
 
 use crate::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};

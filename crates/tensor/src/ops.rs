@@ -805,7 +805,7 @@ pub fn exp_approx(x: f32) -> f32 {
 }
 
 /// Records `rows` masked-softmax rows into
-/// `pragformer_softmax_rows_total{simd}` — the attention fast path's
+/// `pragformer_softmax_rows_total{simd}` — attention's
 /// per-row throughput signal. Registry lookups happen only on the first
 /// call per simd; afterwards this is an enabled check plus one relaxed
 /// atomic add.
@@ -857,31 +857,6 @@ fn softmax_row(row: &mut [f32], valid: usize) {
     }
 }
 
-/// Fused `·scale` + softmax over `row[..valid]`, zeroing the tail —
-/// one sweep over each row (scale + softmax back to back while the row
-/// is in L1) where the unfused path is a whole-matrix
-/// `map_in_place(|s| s * scale)` followed by [`softmax_row`].
-///
-/// Bitwise identical to that two-pass sequence: the scale is the same
-/// single-rounding IEEE multiply, the max/exp/normalize arithmetic is
-/// exactly [`softmax_row`]'s, and the tail beyond `valid` is zeroed
-/// either way (so skipping its scaling cannot move bits). Pinned by
-/// `fused_scaled_softmax_is_bitwise` and the kernel-tier proptests.
-#[inline]
-fn softmax_row_scaled(row: &mut [f32], scale: f32, valid: usize) {
-    if valid == 0 {
-        row.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    // Scale in its own tight sub-loop (vectorizes; fusing the store into
-    // the max reduction serializes it), then softmax while the row is
-    // still in L1 — the fusion win is cache-level, not instruction-level.
-    for v in &mut row[..valid] {
-        *v *= scale;
-    }
-    softmax_row(row, valid);
-}
-
 /// Numerically-stable softmax over the last dimension, in place.
 ///
 /// `row_valid` optionally limits each row to its first `row_valid[r]`
@@ -931,41 +906,6 @@ pub fn softmax_rows_uniform_with(simd: Simd, x: &mut Tensor, valid: usize) {
         Simd::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             kernel::avx2::softmax_rows(x.data_mut(), n, &mut |_| valid);
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("avx2 kernels requested on a non-x86_64 build");
-        }
-    }
-}
-
-/// Single-pass masked score epilogue: `x ·= scale` fused with the
-/// valid-prefix softmax of [`softmax_rows_uniform`] — the attention
-/// fast path's per-row epilogue, one sweep over each `[seq, seq]` score
-/// row instead of a full scale pass followed by a softmax pass.
-///
-/// Bitwise identical to `x.map_in_place(|s| s * scale)` +
-/// [`softmax_rows_uniform`] on every tier: the scale multiply keeps its
-/// single IEEE rounding (fused into the max pass), the softmax
-/// arithmetic is unchanged, and the masked tail is zeroed either way.
-pub fn softmax_rows_scaled_uniform(x: &mut Tensor, scale: f32, valid: usize) {
-    let simd = kernel::active_simd();
-    record_softmax_rows(simd, x.rows());
-    softmax_rows_scaled_uniform_with(simd, x, scale, valid);
-}
-
-/// [`softmax_rows_scaled_uniform`] on an explicit instruction set
-/// (per-tier tests, benches).
-pub fn softmax_rows_scaled_uniform_with(simd: Simd, x: &mut Tensor, scale: f32, valid: usize) {
-    let n = x.cols();
-    let valid = valid.min(n);
-    match simd {
-        Simd::Scalar => {
-            for row in x.data_mut().chunks_mut(n) {
-                softmax_row_scaled(row, scale, valid);
-            }
-        }
-        Simd::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            kernel::avx2::softmax_rows_scaled(x.data_mut(), n, scale, valid);
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("avx2 kernels requested on a non-x86_64 build");
         }
@@ -1329,36 +1269,6 @@ mod tests {
         softmax_rows(&mut b, None);
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!((x - y).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn fused_scaled_softmax_is_bitwise() {
-        // The fused scale+softmax epilogue must reproduce the two-pass
-        // map_in_place + softmax_rows_uniform sequence bit for bit, on
-        // every available instruction set, across block/tail shapes and
-        // every valid prefix (including 0 and full).
-        let mut rng = crate::init::SeededRng::new(77);
-        for simd in kernel::available_simds() {
-            for &(rows, n) in &[(1usize, 1usize), (2, 7), (3, 8), (4, 13), (5, 24), (2, 33)] {
-                let base = Tensor::randn(&[rows, n], 3.0, &mut rng);
-                for scale in [1.0f32, 0.25, 1.0 / (13.0f32).sqrt()] {
-                    for valid in [0, 1, n / 2, n.saturating_sub(1), n] {
-                        let mut fused = base.clone();
-                        softmax_rows_scaled_uniform_with(simd, &mut fused, scale, valid);
-                        let mut twopass = base.clone();
-                        twopass.map_in_place(|s| s * scale);
-                        softmax_rows_uniform_with(simd, &mut twopass, valid);
-                        for (i, (a, b)) in fused.data().iter().zip(twopass.data()).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "simd={simd:?} rows={rows} n={n} scale={scale} valid={valid} i={i}: {a} vs {b}"
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `serde` alone (without a format crate) cannot express this, so the
-//! format is hand-rolled; see DESIGN.md §5.
+//! format is hand-rolled.
 
 use crate::nn::Param;
 use crate::Tensor;

@@ -12,25 +12,9 @@
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::available_simds;
 use pragformer_tensor::kernel::quantize::{matmul_quant, QuantizedEmbedding, QuantizedMatrix};
-use pragformer_tensor::ops::{
-    matmul_nt_with, matmul_with, softmax_rows_scaled_uniform_with, softmax_rows_uniform_with,
-};
+use pragformer_tensor::ops::{matmul_nt_with, matmul_with};
 use pragformer_tensor::Tensor;
 use proptest::prelude::*;
-
-/// Column-concatenates matrices that share a row count — the fused-QKV
-/// weight layout (`wq|wk|wv`).
-fn concat_cols(parts: &[&Tensor]) -> Tensor {
-    let k = parts[0].rows();
-    let total: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut data = Vec::with_capacity(k * total);
-    for p in 0..k {
-        for part in parts {
-            data.extend_from_slice(part.row(p));
-        }
-    }
-    Tensor::from_vec(&[k, total], data)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
@@ -170,111 +154,6 @@ proptest! {
             let bound = (amax / 127.0) * 0.500_001;
             for (got, want) in row.iter().zip(t.row(r)) {
                 prop_assert!((got - want).abs() <= bound, "row {}", r);
-            }
-        }
-    }
-
-    /// The fused-QKV bitwise claim at the GEMM layer: every output
-    /// column accumulates in one ascending-k chain regardless of which
-    /// matrix the column came from, so one GEMM against the
-    /// column-concatenation `b1|b2|b3` produces bit-for-bit the three
-    /// separate products — per simd, for every shape (panel boundaries
-    /// shift, bits don't).
-    #[test]
-    fn concatenated_columns_gemm_is_bitwise_split(
-        m in 1usize..16,
-        k in 1usize..32,
-        n1 in 1usize..12,
-        n2 in 1usize..12,
-        n3 in 1usize..12,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = SeededRng::new(seed);
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let bs: Vec<Tensor> =
-            [n1, n2, n3].iter().map(|&n| Tensor::randn(&[k, n], 1.0, &mut rng)).collect();
-        let wide = concat_cols(&[&bs[0], &bs[1], &bs[2]]);
-        for simd in available_simds() {
-            let fused = matmul_with(simd, &a, &wide);
-            let mut col0 = 0usize;
-            for b in &bs {
-                let split = matmul_with(simd, &a, b);
-                for i in 0..m {
-                    for j in 0..b.cols() {
-                        prop_assert_eq!(
-                            fused.at2(i, col0 + j).to_bits(),
-                            split.at2(i, j).to_bits(),
-                            "{}: ({},{}) of section at {}", simd.name(), i, j, col0
-                        );
-                    }
-                }
-                col0 += b.cols();
-            }
-        }
-    }
-
-    /// Same claim on the int8 tier: per-column scales of the
-    /// concatenation are the three matrices' scales side by side, and
-    /// i32 accumulation is exact, so the fused quantized GEMM matches
-    /// the split products bit for bit.
-    #[test]
-    fn concatenated_columns_quant_gemm_is_bitwise_split(
-        m in 1usize..12,
-        k in 1usize..32,
-        n1 in 1usize..10,
-        n2 in 1usize..10,
-        n3 in 1usize..10,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = SeededRng::new(seed);
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let bs: Vec<Tensor> =
-            [n1, n2, n3].iter().map(|&n| Tensor::randn(&[k, n], 1.0, &mut rng)).collect();
-        let qwide = QuantizedMatrix::quantize(&concat_cols(&[&bs[0], &bs[1], &bs[2]]));
-        let fused = matmul_quant(&a, &qwide);
-        let mut col0 = 0usize;
-        for b in &bs {
-            let split = matmul_quant(&a, &QuantizedMatrix::quantize(b));
-            for i in 0..m {
-                for j in 0..b.cols() {
-                    prop_assert_eq!(
-                        fused.at2(i, col0 + j).to_bits(),
-                        split.at2(i, j).to_bits(),
-                        "int8 ({},{}) of section at {}", i, j, col0
-                    );
-                }
-            }
-            col0 += b.cols();
-        }
-    }
-
-    /// The fused attention score epilogue: one pass of `·scale` +
-    /// valid-prefix mask + softmax is bitwise the legacy two-pass
-    /// scale-everything-then-softmax, per simd, for every shape, scale
-    /// and mask length.
-    #[test]
-    fn fused_scaled_softmax_is_bitwise_per_simd(
-        m in 1usize..10,
-        n in 1usize..40,
-        valid in 0usize..40,
-        scale_exp in -4i32..3,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = SeededRng::new(seed);
-        let x = Tensor::randn(&[m, n], 2.0, &mut rng);
-        let valid = valid.min(n);
-        let scale = 2.0f32.powi(scale_exp) / (n as f32).sqrt();
-        for simd in available_simds() {
-            let mut fused = x.clone();
-            softmax_rows_scaled_uniform_with(simd, &mut fused, scale, valid);
-            let mut split = x.clone();
-            split.map_in_place(|v| v * scale);
-            softmax_rows_uniform_with(simd, &mut split, valid);
-            for (i, (a, b)) in fused.data().iter().zip(split.data()).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "{}: elem {} fused {} vs split {}", simd.name(), i, a, b
-                );
             }
         }
     }

@@ -53,13 +53,13 @@ fn main() {
         println!("advise_batch/{batch}: {per:?} per snippet");
     }
 
-    // Zero-repack smoke check: the batches above warmed every weight
-    // cache, so one more steady-state batch must serve its weight GEMMs
+    // Zero-repack, cache-free steady state: the batches above warmed
+    // every weight cache, so one more batch must serve its weight GEMMs
     // from the pre-packed panels (hits grow) without a single B-panel
-    // rebuild (builds delta zero) or new arena high water.
-    let prepack_on = std::env::var("PRAGFORMER_PREPACK")
-        .map_or(true, |v| !matches!(v.as_str(), "off" | "0" | "false"));
-    if obs::enabled() && prepack_on {
+    // rebuild (builds delta zero) or new arena high water, and its eval
+    // forwards retain zero attention bytes (no backward caches, no
+    // probability tiles).
+    if obs::enabled() {
         let hits = obs::counter(
             "pragformer_prepack_hits_total",
             "f32 GEMMs served from pre-packed weight panels",
@@ -87,52 +87,11 @@ fn main() {
             hw0 / 1024,
         );
     }
-
-    // Cache-free attention steady state: eval forwards retain zero
-    // attention bytes (no backward caches, no probability tiles), and —
-    // when the fused fast path is on — one more batch serves every QKV
-    // projection from the warm fused caches (hits grow) without a single
-    // rebuild or new arena high water.
     assert_eq!(
         advisor.retained_attention_bytes(),
         0,
         "eval forwards must retain zero attention bytes"
     );
-    let attn_fused_on = std::env::var("PRAGFORMER_ATTN")
-        .map_or(true, |v| !matches!(v.as_str(), "unfused" | "off" | "0" | "false"));
-    if obs::enabled() && attn_fused_on {
-        let qkv_builds = obs::counter(
-            "pragformer_attn_fused_qkv_builds_total",
-            "Fused QKV weight cache builds (pack or quantize of wq|wk|wv)",
-            &[],
-        );
-        let qkv_hits = obs::counter(
-            "pragformer_attn_fused_qkv_hits_total",
-            "QKV projections served by the fused single-GEMM fast path",
-            &[],
-        );
-        let (b0, h0) = (qkv_builds.get(), qkv_hits.get());
-        let hw0 = pragformer::tensor::scratch::high_water_bytes();
-        std::hint::black_box(advisor.advise_batch(&snippets));
-        assert!(qkv_hits.get() > h0, "steady-state advise missed the fused QKV fast path");
-        assert_eq!(qkv_builds.get(), b0, "steady-state advise rebuilt fused QKV caches");
-        assert_eq!(
-            advisor.retained_attention_bytes(),
-            0,
-            "fused-path advise retained attention bytes"
-        );
-        assert_eq!(
-            pragformer::tensor::scratch::high_water_bytes(),
-            hw0,
-            "steady-state fused advise grew the scratch high-water mark"
-        );
-        println!(
-            "fused-attention steady state: +{} fused QKV hits, 0 rebuilds, \
-             0 retained attention bytes, arena high water {} KiB (flat)",
-            qkv_hits.get() - h0,
-            hw0 / 1024,
-        );
-    }
 
     // Int8 steady-state check: flip to the quantized tier, warm the
     // weight caches and the i8 scratch lane, then assert one more batch
