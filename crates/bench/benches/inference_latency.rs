@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use pragformer_baselines::{analyze_snippet, BowModel, BowTrainConfig, Strictness};
-use pragformer_core::{Advisor, AdvisorBackend, Scale};
+use pragformer_core::{Advisor, Scale};
 use pragformer_model::{ModelConfig, PragFormer};
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::{self, KernelTier, Simd};
@@ -134,15 +134,13 @@ fn distinct_set() -> Vec<String> {
 /// Batched advisor throughput: one `advise_batch` call over batches of
 /// 1 / 8 / 64 snippets, against the sequential baseline of one `advise`
 /// call per snippet — on the repeated-idiom translation-unit set and the
-/// pairwise-distinct set, for **both backends**. The historical arm
-/// names (`advise_batch/…`) keep measuring the paper-faithful `PerHead`
-/// ensemble so records stay comparable across commits; the `_shared`
-/// twins measure the shared-trunk multi-task model (one trunk forward +
-/// three head projections per unique snippet). Throughput is reported in
-/// snippets/sec; the JSON twin lands in `BENCH_advise_throughput.json`.
+/// pairwise-distinct set. The advisor is the shared-trunk multi-task
+/// model (one trunk forward + three head projections per unique
+/// snippet); its arms keep their `_shared` names so records stay
+/// comparable across commits. Throughput is reported in snippets/sec;
+/// the JSON twin lands in `BENCH_advise_throughput.json`.
 fn bench_batched_throughput(c: &mut Criterion) {
-    let mut per_head = Advisor::untrained_backend(Scale::Tiny, 1, AdvisorBackend::PerHead);
-    let mut shared = Advisor::untrained_backend(Scale::Tiny, 1, AdvisorBackend::SharedTrunk);
+    let mut shared = Advisor::untrained(Scale::Tiny, 1);
     let tu = translation_unit_set();
     let tu_refs: Vec<&str> = tu.iter().map(|s| s.as_str()).collect();
     let distinct = distinct_set();
@@ -151,9 +149,6 @@ fn bench_batched_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("advise_throughput");
     for &batch in &[1usize, 8, 64] {
         group.throughput(Throughput::Elements(batch as u64));
-        group.bench_with_input(BenchmarkId::new("advise_batch", batch), &batch, |b, &batch| {
-            b.iter(|| per_head.advise_batch(&tu_refs[..batch]))
-        });
         group.bench_with_input(
             BenchmarkId::new("advise_batch_shared", batch),
             &batch,
@@ -161,9 +156,6 @@ fn bench_batched_throughput(c: &mut Criterion) {
         );
     }
     group.throughput(Throughput::Elements(64));
-    group.bench_function("advise_batch_distinct/64", |b| {
-        b.iter(|| per_head.advise_batch(&distinct_refs))
-    });
     group.bench_function("advise_batch_shared_distinct/64", |b| {
         b.iter(|| shared.advise_batch(&distinct_refs))
     });
@@ -188,14 +180,8 @@ fn bench_batched_throughput(c: &mut Criterion) {
     kernel::set_tier(prior).expect("restore kernel tier");
     // The baselines the batch path is measured against: the same
     // snippets, one advise() call each.
-    group.bench_function("advise_sequential/64", |b| {
-        b.iter(|| tu_refs.iter().map(|s| per_head.advise(s).expect("snippet parses")).count())
-    });
     group.bench_function("advise_sequential_shared/64", |b| {
         b.iter(|| tu_refs.iter().map(|s| shared.advise(s).expect("snippet parses")).count())
-    });
-    group.bench_function("advise_sequential_distinct/64", |b| {
-        b.iter(|| distinct_refs.iter().map(|s| per_head.advise(s).expect("snippet parses")).count())
     });
     group.finish();
 }

@@ -9,7 +9,7 @@
 //! arm records it fresh-process via `BENCH_ONLY=obs_overhead/...`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pragformer_core::{Advisor, AdvisorBackend, Scale};
+use pragformer_core::{Advisor, Scale};
 use pragformer_obs as obs;
 
 /// The loop idioms a numerical translation unit keeps repeating
@@ -35,7 +35,7 @@ fn distinct_set() -> Vec<String> {
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
-    let mut shared = Advisor::untrained_backend(Scale::Tiny, 1, AdvisorBackend::SharedTrunk);
+    let mut shared = Advisor::untrained(Scale::Tiny, 1);
     let distinct = distinct_set();
     let distinct_refs: Vec<&str> = distinct.iter().map(|s| s.as_str()).collect();
 

@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pragformer_model::batching::{gather, gather_padded, plan_epoch, plan_epoch_grouped};
 use pragformer_model::mlm::{MaskPolicy, MlmModel};
 use pragformer_model::trainer::{synthetic_examples, EncodedExample};
-use pragformer_model::{ModelConfig, MultiTaskExample, MultiTaskPragFormer, PragFormer, Task};
+use pragformer_model::{ModelConfig, MultiTaskExample, PragFormer, Task};
 use pragformer_tensor::init::SeededRng;
 
 use pragformer_bench::bench_smoke as smoke;
@@ -136,7 +136,7 @@ fn bench_train_throughput(c: &mut Criterion) {
         0,
         &mut SeededRng::new(9),
     );
-    let mut mt_model = MultiTaskPragFormer::new(&cfg, &mut rng);
+    let mut mt_model = PragFormer::multi_task(&cfg, &mut rng);
     group.bench_with_input(BenchmarkId::new("multitask_epoch", "shared_trunk"), &(), |b, ()| {
         b.iter(|| {
             let mut total = 0.0f32;
@@ -146,8 +146,8 @@ fn bench_train_throughput(c: &mut Criterion) {
                 let labels: Vec<usize> =
                     batch.indices.iter().map(|&i| mt_examples[i].label as usize).collect();
                 mt_model.zero_grad();
-                total += mt_model.train_step_seq(
-                    task,
+                total += mt_model.train_step_head(
+                    task.index(),
                     &batch.ids,
                     &batch.valid,
                     batch.seq,

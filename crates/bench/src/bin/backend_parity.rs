@@ -1,15 +1,17 @@
-//! Backend parity: per-head macro-F1 of the paper-faithful three-model
-//! advisor (`per-head`) vs the shared-trunk multi-task advisor
-//! (`shared-trunk`), trained on identical data and scored on the same
-//! held-out splits through the full advise pipeline.
+//! Backend parity: per-head macro-F1 of the paper-faithful per-head
+//! ensemble (three single-task PragFormers, `PerHead`) vs the
+//! shared-trunk multi-task advisor (`SharedTrunk`), trained on identical
+//! encoded examples and scored on the same held-out splits through the
+//! advisor's front end. This binary is the only place the ensemble
+//! runs.
 //!
 //! The shared trunk runs one transformer forward per snippet instead of
-//! three; this binary checks the speed did not cost accuracy (the PR's
+//! three; this binary checks the speed did not cost accuracy (the
 //! acceptance bound: within ±2 macro-F1 points per head at small scale).
 //! Single-seed gaps on the small clause splits are noisy (a few hundred
-//! test examples), so the comparison trains both backends under `--seeds`
-//! seeds (default 3: `--seed`, `+1`, `+2`) and reports per-seed gaps plus
-//! the mean.
+//! test examples), so the comparison trains both under `--seeds` seeds
+//! (default 3: `--seed`, `+1`, `+2`) and reports per-seed gaps plus the
+//! mean.
 
 use pragformer_bench::{emit, parse_args};
 use pragformer_core::experiments::run_backend_parity;

@@ -4,9 +4,10 @@
 //! developers to identify locations that can benefit from an OpenMP
 //! directive", optionally cross-checked against an S2S compiler ("in
 //! cases both the model and the S2S compilers agree on a directive, it
-//! will remain"). [`Advisor`] packages exactly that: three fine-tuned
-//! classifiers (directive / private / reduction) plus the ComPar-style
-//! engine for agreement checks and clause-variable synthesis.
+//! will remain"). [`Advisor`] packages exactly that: one fine-tuned
+//! three-head classifier (directive / private / reduction heads on one
+//! shared trunk, [`PragFormer::multi_task`]) plus the ComPar-style engine
+//! for agreement checks and clause-variable synthesis.
 //!
 //! ## Batched advising
 //!
@@ -21,9 +22,9 @@
 //! 3. within a bucket, **identical encoded sequences are deduplicated**
 //!    — repeated loop idioms (ubiquitous in real translation units) are
 //!    classified once and the result fanned out;
-//! 4. each bucket runs through the directive/private/reduction heads as
-//!    one batched forward each — three large GEMM pipelines instead of
-//!    `3 × batch` small ones.
+//! 4. each bucket runs **one** batched trunk forward — one large GEMM
+//!    pipeline instead of `batch` small ones — and then the three
+//!    `[rows, d_model] → [rows, 2]` head projections.
 //!
 //! Because every kernel is bitwise-deterministic per row regardless of
 //! batch size and padding length (see `pragformer_tensor::ops`), the
@@ -33,13 +34,13 @@
 
 use crate::encode::encode_dataset;
 use crate::scale::Scale;
-use pragformer_baselines::{analyze_snippet, ComparResult, Strictness};
-use pragformer_corpus::{generate, ClauseKind, Database, Dataset};
+use pragformer_baselines::compar::{analyze_stmts, check_frontend};
+use pragformer_baselines::{ComparResult, Strictness};
+use pragformer_corpus::{generate, ClauseKind, Database, Dataset, Example};
 use pragformer_cparse::omp::{OmpClause, OmpDirective};
 use pragformer_cparse::{parse_snippet, ParseError};
 use pragformer_model::multitask::{self, MultiTaskConfig, MultiTaskExample, Task};
-use pragformer_model::trainer::Trainer;
-use pragformer_model::{MultiTaskPragFormer, PragFormer, TrunkWeightBytes};
+use pragformer_model::PragFormer;
 use pragformer_obs as obs;
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::KernelTier;
@@ -121,51 +122,13 @@ impl PreparedSnippet {
     }
 }
 
-/// Which model architecture backs an [`Advisor`].
-///
-/// Both backends share the tokenizer, bucketing, dedup, ComPar engine,
-/// wire formats and [`PreparedSnippet::cache_key`] semantics; they differ
-/// only in how the three head probabilities are produced.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdvisorBackend {
-    /// The paper-faithful ensemble: three complete [`PragFormer`] models,
-    /// three full transformer forwards per snippet.
-    PerHead,
-    /// One shared [`MultiTaskPragFormer`] trunk with three classifier
-    /// heads: **one** transformer forward per snippet plus three cheap
-    /// head projections (~3× less inference compute and weights). The
-    /// default.
-    #[default]
-    SharedTrunk,
-}
-
-impl AdvisorBackend {
-    /// Parses `per-head` / `shared-trunk` (CLI flags).
-    pub fn parse(s: &str) -> Option<AdvisorBackend> {
-        match s {
-            "per-head" => Some(AdvisorBackend::PerHead),
-            "shared-trunk" => Some(AdvisorBackend::SharedTrunk),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (metric labels, logs) — the inverse of
-    /// [`AdvisorBackend::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            AdvisorBackend::PerHead => "per-head",
-            AdvisorBackend::SharedTrunk => "shared-trunk",
-        }
-    }
-}
-
-/// Cached observability handles for one `(backend, kernel tier)` pair:
-/// the four per-stage span histograms
-/// (`pragformer_span_seconds{span="advise.*", backend, tier}`) plus the
-/// per-backend snippet counters. The registry is consulted once per pair
-/// (a lock plus allocations); every later batch reuses the `Arc`s
-/// wait-free. Returns `None` when observability is disabled, so the
-/// disabled hot path is a single atomic load with no clock reads.
+/// Cached observability handles for one kernel tier: the four
+/// per-stage span histograms
+/// (`pragformer_span_seconds{span="advise.*", tier}`) plus the snippet
+/// counters. The registry is consulted once per tier (a lock plus
+/// allocations); every later batch reuses the `Arc`s wait-free. Returns
+/// `None` when observability is disabled, so the disabled hot path is a
+/// single atomic load with no clock reads.
 struct StageObs {
     prepare: Arc<obs::Histogram>,
     bucket: Arc<obs::Histogram>,
@@ -176,22 +139,18 @@ struct StageObs {
 }
 
 impl StageObs {
-    fn get(backend: AdvisorBackend, tier: KernelTier) -> Option<&'static StageObs> {
+    fn get(tier: KernelTier) -> Option<&'static StageObs> {
         if !obs::enabled() {
             return None;
         }
-        static CELLS: [[OnceLock<StageObs>; 2]; 3] = [const { [const { OnceLock::new() }; 2] }; 3];
+        static CELLS: [OnceLock<StageObs>; 3] = [const { OnceLock::new() }; 3];
         let t = match tier {
             KernelTier::Scalar => 0,
             KernelTier::Avx2 => 1,
             KernelTier::Int8 => 2,
         };
-        let b = match backend {
-            AdvisorBackend::PerHead => 0,
-            AdvisorBackend::SharedTrunk => 1,
-        };
-        Some(CELLS[t][b].get_or_init(|| {
-            let labels = [("backend", backend.name()), ("tier", tier.name())];
+        Some(CELLS[t].get_or_init(|| {
+            let labels = [("tier", tier.name())];
             StageObs {
                 prepare: obs::span_histogram("advise.prepare", &labels),
                 bucket: obs::span_histogram("advise.bucket", &labels),
@@ -200,37 +159,30 @@ impl StageObs {
                 snippets: obs::counter(
                     "pragformer_advise_snippets_total",
                     "Snippets through the advise front-end",
-                    &[("backend", backend.name())],
+                    &[],
                 ),
                 parse_errors: obs::counter(
                     "pragformer_advise_parse_errors_total",
                     "Snippets that failed to parse",
-                    &[("backend", backend.name())],
+                    &[],
                 ),
             }
         }))
     }
 }
 
-/// The models behind an advisor — one variant per [`AdvisorBackend`].
-/// Boxed: a model is a page-plus of inline layer state, and the enum
-/// lives inside every `Advisor` moved across threads by the serve layer.
-enum Models {
-    PerHead { directive: Box<PragFormer>, private: Box<PragFormer>, reduction: Box<PragFormer> },
-    SharedTrunk(Box<MultiTaskPragFormer>),
-}
-
-/// A trained advisor.
+/// A trained advisor: a vocabulary and one three-head [`PragFormer`]
+/// whose head `i` serves the task with [`Task::index`] `i`.
 pub struct Advisor {
     vocab: Vocab,
-    models: Models,
+    model: PragFormer,
     max_len: usize,
 }
 
 /// The exact `(directive, private, reduction)` datasets
-/// [`Advisor::train_backend`] fits on — one constructor shared with the
-/// backend-parity experiment, so its held-out test splits can never
-/// drift out of sync with what the models trained on.
+/// [`Advisor::train`] fits on — one constructor shared with the parity
+/// experiments, so their held-out test splits can never drift out of
+/// sync with what the models trained on.
 pub(crate) fn training_datasets(
     db: &Database,
     seed: u64,
@@ -242,141 +194,82 @@ pub(crate) fn training_datasets(
     )
 }
 
+/// The encoded, task-tagged examples an advisor trains on.
+pub(crate) struct TrainingData {
+    /// Built from the directive task's training split.
+    pub(crate) vocab: Vocab,
+    /// Directive, then `private`, then `reduction` training examples.
+    pub(crate) train: Vec<MultiTaskExample>,
+    /// Validation examples, in the same task order.
+    pub(crate) valid: Vec<MultiTaskExample>,
+}
+
+/// Encodes [`training_datasets`] under one vocabulary: the directive task
+/// over the full corpus plus the balanced `private`/`reduction` clause
+/// subsets. [`Advisor::train`] fits on exactly these examples, and so
+/// does the backend-parity experiment's per-head ensemble.
+pub(crate) fn training_data(db: &Database, scale: Scale, seed: u64) -> TrainingData {
+    let (min_freq, max_vocab) = scale.vocab_limits();
+    let max_len = scale.model(8).max_len;
+    let (directive_ds, private_ds, reduction_ds) = training_datasets(db, seed);
+    let enc = encode_dataset(db, &directive_ds, Representation::Text, max_len, min_freq, max_vocab);
+    let directive = |set: Vec<pragformer_model::trainer::EncodedExample>| {
+        set.into_iter()
+            .map(|ex| MultiTaskExample { ids: ex.ids, label: ex.label, task: Task::Directive })
+            .collect::<Vec<_>>()
+    };
+    let mut train = directive(enc.train);
+    let mut valid = directive(enc.valid);
+
+    // Tokenize + encode every record exactly once with the shared
+    // vocabulary; the clause datasets (and their balanced subsets, which
+    // overlap heavily) index into this instead of re-running the
+    // tokenizer per task × example. Lazy per slot: records no clause
+    // dataset touches are never encoded.
+    let mut record_enc: Vec<Option<(Vec<usize>, usize)>> = vec![None; db.records().len()];
+    let mut push = |set: &mut Vec<MultiTaskExample>, examples: &[Example], task: Task| {
+        for ex in examples {
+            let (ids, n) = record_enc[ex.record]
+                .get_or_insert_with(|| {
+                    let toks = tokens_for(&db.records()[ex.record].stmts, Representation::Text);
+                    enc.vocab.encode(&toks, max_len)
+                })
+                .clone();
+            set.push(MultiTaskExample::new(ids, n, ex.label, task));
+        }
+    };
+    push(&mut train, &private_ds.split.train, Task::Private);
+    push(&mut valid, &private_ds.split.valid, Task::Private);
+    push(&mut train, &reduction_ds.split.train, Task::Reduction);
+    push(&mut valid, &reduction_ds.split.valid, Task::Reduction);
+    TrainingData { vocab: enc.vocab, train, valid }
+}
+
 impl Advisor {
-    /// Trains the default ([`AdvisorBackend::SharedTrunk`]) advisor on a
-    /// database.
+    /// Trains an advisor on a database: the three task datasets are
+    /// interleaved through the multi-task engine
+    /// ([`pragformer_model::multitask::fit`]) with a seeded deterministic
+    /// task schedule.
     pub fn train(db: &Database, scale: Scale, seed: u64) -> Advisor {
-        Advisor::train_backend(db, scale, seed, AdvisorBackend::default())
+        Advisor::fit(training_data(db, scale, seed), scale, seed)
     }
 
-    /// Trains an advisor with an explicit backend.
-    ///
-    /// Both backends train on identical datasets and a shared vocabulary
-    /// (built from the directive task's training split): the directive
-    /// task over the full corpus plus the balanced `private`/`reduction`
-    /// clause subsets. `PerHead` fits three separate models sequentially;
-    /// `SharedTrunk` interleaves the three datasets through the
-    /// multi-task engine ([`pragformer_model::multitask::fit`]) with a
-    /// seeded deterministic task schedule.
-    pub fn train_backend(
-        db: &Database,
-        scale: Scale,
-        seed: u64,
-        backend: AdvisorBackend,
-    ) -> Advisor {
-        let (min_freq, max_vocab) = scale.vocab_limits();
-        let max_len = scale.model(8).max_len;
+    /// Fits a fresh three-head model on `data`.
+    pub(crate) fn fit(data: TrainingData, scale: Scale, seed: u64) -> Advisor {
+        let cfg = scale.model(data.vocab.len());
+        let mut model = PragFormer::multi_task(&cfg, &mut SeededRng::new(seed));
+        if !data.train.is_empty() {
+            let cfg = MultiTaskConfig { train: scale.train(seed), weights: [1.0; 3] };
+            multitask::fit(&mut model, &cfg, &data.train, &data.valid);
+        }
+        Advisor::with_model(data.vocab, model)
+    }
 
-        let (directive_ds, private_ds, reduction_ds) = training_datasets(db, seed);
-        let enc =
-            encode_dataset(db, &directive_ds, Representation::Text, max_len, min_freq, max_vocab);
-        let mut rng = SeededRng::new(seed);
-        let model_cfg = scale.model(enc.vocab.len());
-
-        // Tokenize + encode every record exactly once with the shared
-        // vocabulary; the clause datasets (and their balanced subsets,
-        // which overlap heavily) index into this instead of re-running
-        // the tokenizer per head × example. Lazy per slot: records no
-        // clause dataset touches are never encoded.
-        let mut record_enc: Vec<Option<(Vec<usize>, usize)>> = vec![None; db.records().len()];
-        let mut encode_examples =
-            |examples: &[pragformer_corpus::Example]| -> Vec<(Vec<usize>, usize, bool)> {
-                examples
-                    .iter()
-                    .map(|ex| {
-                        let (ids, valid) = record_enc[ex.record]
-                            .get_or_insert_with(|| {
-                                let toks = tokens_for(
-                                    &db.records()[ex.record].stmts,
-                                    Representation::Text,
-                                );
-                                enc.vocab.encode(&toks, max_len)
-                            })
-                            .clone();
-                        (ids, valid, ex.label)
-                    })
-                    .collect()
-            };
-        let private_train = encode_examples(&private_ds.split.train);
-        let private_valid = encode_examples(&private_ds.split.valid);
-        let reduction_train = encode_examples(&reduction_ds.split.train);
-        let reduction_valid = encode_examples(&reduction_ds.split.valid);
-
-        let models = match backend {
-            AdvisorBackend::PerHead => {
-                let trainer = Trainer::new(scale.train(seed));
-                let mut directive = PragFormer::new(&model_cfg, &mut rng);
-                trainer.fit(&mut directive, &enc.train, &enc.valid);
-                let mut train_clause = |train: &[(Vec<usize>, usize, bool)],
-                                        valid: &[(Vec<usize>, usize, bool)]|
-                 -> PragFormer {
-                    let mut model = PragFormer::new(&model_cfg, &mut rng);
-                    let to_examples = |set: &[(Vec<usize>, usize, bool)]| {
-                        set.iter()
-                            .map(|(ids, valid, label)| {
-                                pragformer_model::trainer::EncodedExample::new(
-                                    ids.clone(),
-                                    *valid,
-                                    *label,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    };
-                    let train = to_examples(train);
-                    if train.is_empty() {
-                        return model; // degenerate corpus (tests); untrained
-                    }
-                    trainer.fit(&mut model, &train, &to_examples(valid));
-                    model
-                };
-                let private = train_clause(&private_train, &private_valid);
-                let reduction = train_clause(&reduction_train, &reduction_valid);
-                Models::PerHead {
-                    directive: Box::new(directive),
-                    private: Box::new(private),
-                    reduction: Box::new(reduction),
-                }
-            }
-            AdvisorBackend::SharedTrunk => {
-                let mut model = MultiTaskPragFormer::new(&model_cfg, &mut rng);
-                let mut train: Vec<MultiTaskExample> = Vec::new();
-                let mut valid: Vec<MultiTaskExample> = Vec::new();
-                for ex in &enc.train {
-                    train.push(MultiTaskExample {
-                        ids: ex.ids.clone(),
-                        label: ex.label,
-                        task: Task::Directive,
-                    });
-                }
-                for ex in &enc.valid {
-                    valid.push(MultiTaskExample {
-                        ids: ex.ids.clone(),
-                        label: ex.label,
-                        task: Task::Directive,
-                    });
-                }
-                let push = |set: &mut Vec<MultiTaskExample>,
-                            src: &[(Vec<usize>, usize, bool)],
-                            task: Task| {
-                    for (ids, valid, label) in src {
-                        set.push(MultiTaskExample::new(ids.clone(), *valid, *label, task));
-                    }
-                };
-                push(&mut train, &private_train, Task::Private);
-                push(&mut valid, &private_valid, Task::Private);
-                push(&mut train, &reduction_train, Task::Reduction);
-                push(&mut valid, &reduction_valid, Task::Reduction);
-                if !train.is_empty() {
-                    let cfg = MultiTaskConfig { train: scale.train(seed), weights: [1.0; 3] };
-                    multitask::fit(&mut model, &cfg, &train, &valid);
-                }
-                Models::SharedTrunk(Box::new(model))
-            }
-        };
-
-        let mut advisor = Advisor { vocab: enc.vocab, models, max_len };
-        // Training is over; everything from here is inference. Pack (or
-        // quantize) eagerly so the first request pays no one-time cost.
+    /// Wraps a model for inference. Packs (or quantizes) eagerly so the
+    /// first request pays no one-time cost.
+    fn with_model(vocab: Vocab, model: PragFormer) -> Advisor {
+        let max_len = model.config().max_len;
+        let mut advisor = Advisor { vocab, model, max_len };
         advisor.prepack_for_inference();
         advisor
     }
@@ -387,84 +280,45 @@ impl Advisor {
         Advisor::train(&db, scale, seed)
     }
 
-    /// The backend this advisor runs on.
-    pub fn backend(&self) -> AdvisorBackend {
-        match &self.models {
-            Models::PerHead { .. } => AdvisorBackend::PerHead,
-            Models::SharedTrunk(_) => AdvisorBackend::SharedTrunk,
-        }
-    }
-
     /// The process-wide kernel tier the advisor's GEMMs dispatch on
     /// (reported by serve/CLI startup lines and experiment logs).
     pub fn kernel_tier(&self) -> KernelTier {
         pragformer_tensor::kernel::active_tier()
     }
 
-    /// Advisor-local int8 override, forwarded to every backing trunk:
-    /// `Some(true)` runs quantized trunk inference, `Some(false)` forces
-    /// f32, `None` follows the process kernel tier. Model-local, so
-    /// parity harnesses can compare both paths without flipping the
-    /// global tier under other threads.
+    /// Advisor-local int8 override of the trunk: `Some(true)` runs
+    /// quantized trunk inference, `Some(false)` forces f32, `None`
+    /// follows the process kernel tier. Model-local, so parity harnesses
+    /// can compare both paths without flipping the global tier under
+    /// other threads.
     pub fn set_int8(&mut self, force: Option<bool>) {
-        match &mut self.models {
-            Models::PerHead { directive, private, reduction } => {
-                directive.set_int8_override(force);
-                private.set_int8_override(force);
-                reduction.set_int8_override(force);
-            }
-            Models::SharedTrunk(model) => model.set_int8_override(force),
-        }
+        self.model.set_int8_override(force);
     }
 
-    /// Bytes retained by attention backward caches across every backing
-    /// trunk. The advise path runs eval-mode (cache-free) forwards only,
-    /// so this is always zero for a serving advisor — the invariant the
+    /// Bytes retained by the trunk's attention backward caches. The
+    /// advise path runs eval-mode (cache-free) forwards only, so this is
+    /// always zero for a serving advisor — the invariant the
     /// `profile_advise` example asserts in steady state.
     pub fn retained_attention_bytes(&self) -> usize {
-        match &self.models {
-            Models::PerHead { directive, private, reduction } => {
-                directive.retained_attention_bytes()
-                    + private.retained_attention_bytes()
-                    + reduction.retained_attention_bytes()
-            }
-            Models::SharedTrunk(model) => model.retained_attention_bytes(),
-        }
+        self.model.retained_attention_bytes()
     }
 
-    /// Eagerly builds the inference weight caches every backing model
-    /// would build on its first eval forward (packed f32 panels, or int8
-    /// copies under that tier), so the first advise request pays no
-    /// one-time pack cost. Construction calls this; it is idempotent.
+    /// Eagerly builds the inference weight caches the model would build
+    /// on its first eval forward (packed f32 panels, or int8 copies under
+    /// that tier), so the first advise request pays no one-time pack
+    /// cost. Construction calls this; it is idempotent.
     pub fn prepack_for_inference(&mut self) {
-        match &mut self.models {
-            Models::PerHead { directive, private, reduction } => {
-                directive.prepack_for_inference();
-                private.prepack_for_inference();
-                reduction.prepack_for_inference();
-            }
-            Models::SharedTrunk(model) => model.prepack_for_inference(),
-        }
+        self.model.prepack_for_inference();
     }
 
-    /// Static f32-vs-int8 weight accounting over the advisor's trunk(s):
-    /// `(f32_bytes, int8_bytes)` summed across backing models.
+    /// Static f32-vs-int8 weight accounting of the trunk:
+    /// `(f32_bytes, int8_bytes)`.
     pub fn trunk_weight_bytes(&self) -> (usize, usize) {
-        let sum = |parts: &[TrunkWeightBytes]| {
-            parts.iter().fold((0usize, 0usize), |(a, b), w| (a + w.f32_bytes, b + w.int8_bytes))
-        };
-        match &self.models {
-            Models::PerHead { directive, private, reduction } => sum(&[
-                directive.trunk_weight_bytes(),
-                private.trunk_weight_bytes(),
-                reduction.trunk_weight_bytes(),
-            ]),
-            Models::SharedTrunk(model) => sum(&[model.trunk_weight_bytes()]),
-        }
+        let w = self.model.trunk_weight_bytes();
+        (w.f32_bytes, w.int8_bytes)
     }
 
-    /// Builds an advisor with freshly initialized, **untrained** weights
-    /// on the default backend.
+    /// Builds an advisor with freshly initialized, **untrained** weights.
     ///
     /// Inference latency does not depend on weight values, so benchmarks
     /// (`pragformer-bench`'s `inference_latency`) use this to measure the
@@ -472,33 +326,13 @@ impl Advisor {
     /// meaningless; everything else (tokenizer, bucketing, batching,
     /// ComPar agreement) behaves exactly like a trained advisor.
     pub fn untrained(scale: Scale, seed: u64) -> Advisor {
-        Advisor::untrained_backend(scale, seed, AdvisorBackend::default())
-    }
-
-    /// [`Advisor::untrained`] with an explicit backend (benchmarks use
-    /// this to compare `PerHead` and `SharedTrunk` inference cost).
-    pub fn untrained_backend(scale: Scale, seed: u64, backend: AdvisorBackend) -> Advisor {
         let db = generate(&scale.generator(seed));
         let (min_freq, max_vocab) = scale.vocab_limits();
-        let max_len = scale.model(8).max_len;
         let tokens: Vec<Vec<String>> =
             db.records().iter().map(|r| tokens_for(&r.stmts, Representation::Text)).collect();
         let vocab = Vocab::build(tokens.iter(), min_freq, max_vocab);
-        let cfg = scale.model(vocab.len());
-        let mut rng = SeededRng::new(seed);
-        let models = match backend {
-            AdvisorBackend::PerHead => Models::PerHead {
-                directive: Box::new(PragFormer::new(&cfg, &mut rng)),
-                private: Box::new(PragFormer::new(&cfg, &mut rng)),
-                reduction: Box::new(PragFormer::new(&cfg, &mut rng)),
-            },
-            AdvisorBackend::SharedTrunk => {
-                Models::SharedTrunk(Box::new(MultiTaskPragFormer::new(&cfg, &mut rng)))
-            }
-        };
-        let mut advisor = Advisor { vocab, models, max_len };
-        advisor.prepack_for_inference();
-        advisor
+        let model = PragFormer::multi_task(&scale.model(vocab.len()), &mut SeededRng::new(seed));
+        Advisor::with_model(vocab, model)
     }
 
     /// Classifies a C snippet. Errors if the snippet does not parse.
@@ -517,7 +351,7 @@ impl Advisor {
     ///
     /// The pipeline: parallel parse/tokenize/encode + ComPar dependence
     /// analysis on the persistent thread pool, then one batched forward
-    /// per (length bucket × model head). Probabilities are **bitwise
+    /// per length bucket. Probabilities are **bitwise
     /// identical** to per-snippet [`Advisor::advise`] calls — batching
     /// and length-bucketing never change an answer (see the module docs).
     pub fn advise_batch(&mut self, sources: &[&str]) -> Vec<Result<Advice, ParseError>> {
@@ -557,7 +391,7 @@ impl Advisor {
 
         // Phase 4 — assemble per-input advice in input order (duplicates
         // share their unique slot's front-end + model results).
-        let stage = StageObs::get(self.backend(), self.kernel_tier());
+        let stage = StageObs::get(self.kernel_tier());
         let t_post = stage.map(|_| Instant::now());
         let out: Vec<Result<Advice, ParseError>> = slots
             .into_iter()
@@ -579,11 +413,18 @@ impl Advisor {
 
     /// The front-end for one snippet: parse, tokenize, encode, and run
     /// the S2S dependence analysis. No model weights are touched.
+    ///
+    /// The snippet is parsed once: ComPar runs its strict front-end gate
+    /// on the text and then analyzes the statements already parsed here,
+    /// which gives exactly `analyze_snippet(source, Strictness::Strict)`.
     pub fn prepare(&self, source: &str) -> Result<PreparedSnippet, ParseError> {
         let stmts = parse_snippet(source)?;
         let tokens = tokens_for(&stmts, Representation::Text);
         let (ids, valid) = self.vocab.encode(&tokens, self.max_len);
-        let compar = analyze_snippet(source, Strictness::Strict);
+        let compar = match check_frontend(source, Strictness::Strict) {
+            Ok(()) => analyze_stmts(&stmts),
+            Err(reason) => ComparResult::ParseFailure(reason),
+        };
         Ok(PreparedSnippet { ids, valid, compar })
     }
 
@@ -592,9 +433,9 @@ impl Advisor {
     ///
     /// Observability: records the whole pass into
     /// `pragformer_span_seconds{span="advise.prepare"}` and advances the
-    /// per-backend snippet/parse-error counters.
+    /// snippet/parse-error counters.
     pub fn prepare_batch(&self, sources: &[&str]) -> Vec<Result<PreparedSnippet, ParseError>> {
-        let stage = StageObs::get(self.backend(), self.kernel_tier());
+        let stage = StageObs::get(self.kernel_tier());
         let start = stage.map(|_| Instant::now());
         let out = par_map_indexed(sources.len(), 4, |u| self.prepare(sources[u]));
         if let (Some(s), Some(t0)) = (stage, start) {
@@ -610,17 +451,14 @@ impl Advisor {
     ///
     /// Snippets are bucketed by padded length (smallest power of two ≥
     /// the token count, capped at `max_len`) and identical encoded
-    /// sequences within a bucket are classified once. Per bucket, the
-    /// [`AdvisorBackend::SharedTrunk`] backend then runs **one** batched
-    /// trunk forward followed by the three head projections; the
-    /// paper-faithful [`AdvisorBackend::PerHead`] backend runs one full
-    /// batched forward per head. Every returned probability is **bitwise
-    /// identical** to a batch-of-one forward of the same snippet — the
-    /// kernel row-determinism contract of `pragformer_tensor::ops` —
-    /// which is what lets a serving layer cache these values across
-    /// requests, under either backend.
+    /// sequences within a bucket are classified once. Per bucket, **one**
+    /// batched trunk forward is followed by the three head projections.
+    /// Every returned probability is **bitwise identical** to a
+    /// batch-of-one forward of the same snippet — the kernel
+    /// row-determinism contract of `pragformer_tensor::ops` — which is
+    /// what lets a serving layer cache these values across requests.
     pub fn head_probs_batch(&mut self, snippets: &[&PreparedSnippet]) -> Vec<HeadProbs> {
-        let stage = StageObs::get(self.backend(), self.kernel_tier());
+        let stage = StageObs::get(self.kernel_tier());
         let max_len = self.max_len;
         // Bucket by padded length. The bucketing/dedup sections across
         // all buckets accumulate into one `advise.bucket` observation and
@@ -666,34 +504,18 @@ impl Advisor {
             if let (Some(td), Some(tf)) = (t_dedup, t_forward) {
                 bucket_secs += (tf - td).as_secs_f64();
             }
-            let probs: Vec<HeadProbs> = match &mut self.models {
-                Models::PerHead { directive, private, reduction } => {
-                    let dir = directive.predict_proba_batch(&ids, &valid, seq);
-                    let priv_ = private.predict_proba_batch(&ids, &valid, seq);
-                    let red = reduction.predict_proba_batch(&ids, &valid, seq);
-                    (0..valid.len())
-                        .map(|r| HeadProbs {
-                            directive: dir[r],
-                            private: priv_[r],
-                            reduction: red[r],
-                        })
-                        .collect()
-                }
-                Models::SharedTrunk(model) => model
-                    .predict_probs_batch(&ids, &valid, seq)
-                    .into_iter()
-                    .map(|[directive, private, reduction]| HeadProbs {
-                        directive,
-                        private,
-                        reduction,
-                    })
-                    .collect(),
-            };
+            // One probability vector per head, in `Task` order.
+            let probs = self.model.predict_probs_batch(&ids, &valid, seq);
             if let Some(tf) = t_forward {
                 forward_secs += tf.elapsed().as_secs_f64();
             }
             for (slot, &u) in members.iter().enumerate() {
-                out[u] = probs[row_of[slot]];
+                let r = row_of[slot];
+                out[u] = HeadProbs {
+                    directive: probs[0][r],
+                    private: probs[1][r],
+                    reduction: probs[2][r],
+                };
             }
         }
         if let Some(s) = stage {
@@ -787,23 +609,17 @@ impl Advisor {
     }
 
     /// Probability that a *token sequence* needs a directive — the
-    /// black-box interface LIME perturbs (Figure 8). Works on either
-    /// backend.
+    /// black-box interface LIME perturbs (Figure 8).
     pub fn directive_probability_of_tokens(&mut self, tokens: &[String]) -> f32 {
         let (ids, valid) = self.vocab.encode(tokens, self.max_len);
-        match &mut self.models {
-            Models::PerHead { directive, .. } => directive.predict_proba(&ids, &[valid])[0],
-            Models::SharedTrunk(model) => {
-                let max_len = self.max_len;
-                model.predict_proba_task(Task::Directive, &ids, &[valid], max_len)[0]
-            }
-        }
+        self.model.predict_proba_head(Task::Directive.index(), &ids, &[valid], self.max_len)[0]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pragformer_baselines::analyze_snippet;
     use std::sync::{Mutex, OnceLock};
 
     /// Training even the tiny advisor costs tens of seconds; every test
@@ -931,44 +747,27 @@ mod tests {
     }
 
     #[test]
-    fn backends_produce_identically_shaped_advice_on_parse_errors() {
-        // Weight values are irrelevant to error handling and advice
-        // shape, so untrained advisors suffice here.
-        let mut per_head = Advisor::untrained_backend(Scale::Tiny, 3, AdvisorBackend::PerHead);
-        let mut shared = Advisor::untrained_backend(Scale::Tiny, 3, AdvisorBackend::SharedTrunk);
-        assert_eq!(per_head.backend(), AdvisorBackend::PerHead);
-        assert_eq!(shared.backend(), AdvisorBackend::SharedTrunk);
-        let snippets: Vec<&str> = vec![
-            "for (i = 0; i < ; i++ {",                     // parse error
-            "for (i = 0; i < n; i++) a[i] = b[i] + c[i];", // fine
-            "while (",                                     // parse error
-        ];
-        let a = per_head.advise_batch(&snippets);
-        let b = shared.advise_batch(&snippets);
-        assert_eq!(a.len(), b.len());
-        for (i, (ra, rb)) in a.iter().zip(&b).enumerate() {
-            match (ra, rb) {
-                (Err(ea), Err(eb)) => {
-                    assert_eq!(ea.to_string(), eb.to_string(), "snippet {i}");
-                }
-                (Ok(aa), Ok(ab)) => {
-                    // Same populated fields (values differ: different
-                    // weights), same ComPar verdict (model-independent).
-                    assert_eq!(aa.compar_agrees, ab.compar_agrees, "snippet {i}");
-                    assert!((0.0..=1.0).contains(&aa.confidence));
-                    assert!((0.0..=1.0).contains(&ab.confidence));
-                }
-                other => panic!("snippet {i}: backends disagree on ok/err: {other:?}"),
+    fn prepare_runs_compar_on_its_own_parse() {
+        // `prepare` parses once and hands the statements to ComPar; the
+        // result must equal the standalone engine's on every snippet.
+        let advisor = Advisor::untrained(Scale::Tiny, 3);
+        let db = generate(&Scale::Tiny.generator(3));
+        let mut checked = 0;
+        for record in db.records() {
+            let src = record.code();
+            if let Ok(p) = advisor.prepare(&src) {
+                assert_eq!(p.compar(), &analyze_snippet(&src, Strictness::Strict), "{src}");
+                checked += 1;
             }
         }
+        assert!(checked > db.records().len() / 2, "only {checked} records parsed");
     }
 
     #[test]
     fn shared_trunk_batch_matches_sequential_bitwise() {
-        // The PR 1 bitwise contract must survive the shared-trunk path:
-        // one trunk forward over a coalesced batch reproduces per-snippet
-        // calls bit for bit.
-        let mut advisor = Advisor::untrained_backend(Scale::Tiny, 5, AdvisorBackend::SharedTrunk);
+        // One trunk forward over a coalesced batch reproduces
+        // per-snippet calls bit for bit, on every head.
+        let mut advisor = Advisor::untrained(Scale::Tiny, 5);
         let snippets: Vec<&str> = vec![
             "for (i = 0; i < n; i++) a[i] = b[i] + c[i];",
             "s = 0.0;\nfor (i = 0; i < n; i++) s += a[i] * b[i];",
@@ -998,7 +797,7 @@ mod tests {
         // errors, advice shape and the batched == sequential bitwise
         // contract all hold exactly as in f32. Model-local override —
         // the global tier is never touched.
-        let mut advisor = Advisor::untrained_backend(Scale::Tiny, 9, AdvisorBackend::SharedTrunk);
+        let mut advisor = Advisor::untrained(Scale::Tiny, 9);
         let snippets: Vec<&str> = vec![
             "for (i = 0; i < n; i++) a[i] = b[i] + c[i];",
             "for (i = 0; i < ; i++ {", // parse error mid-batch
@@ -1028,21 +827,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_parse_roundtrip() {
-        assert_eq!(AdvisorBackend::parse("per-head"), Some(AdvisorBackend::PerHead));
-        assert_eq!(AdvisorBackend::parse("shared-trunk"), Some(AdvisorBackend::SharedTrunk));
-        assert_eq!(AdvisorBackend::parse("both"), None);
-        assert_eq!(AdvisorBackend::default(), AdvisorBackend::SharedTrunk);
-    }
-
-    #[test]
     fn advise_stages_land_in_the_span_registry() {
         if !obs::enabled() {
             return; // PRAGFORMER_OBS=off in the environment
         }
         let mut advisor = shared().lock().unwrap();
-        let labels =
-            [("backend", advisor.backend().name()), ("tier", advisor.kernel_tier().name())];
+        let labels = [("tier", advisor.kernel_tier().name())];
         let stages: Vec<Arc<obs::Histogram>> =
             ["advise.prepare", "advise.bucket", "advise.forward", "advise.post"]
                 .iter()
@@ -1095,13 +885,6 @@ mod tests {
                 (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
                 other => panic!("snippet {i}: obs toggle changed ok/err shape: {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn backend_name_roundtrips_through_parse() {
-        for b in [AdvisorBackend::PerHead, AdvisorBackend::SharedTrunk] {
-            assert_eq!(AdvisorBackend::parse(b.name()), Some(b));
         }
     }
 

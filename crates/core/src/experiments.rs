@@ -1,13 +1,13 @@
 //! Runnable experiments behind every evaluation table and figure.
 
-use crate::advisor::{Advisor, AdvisorBackend};
+use crate::advisor::{training_data, training_datasets, Advisor, HeadProbs, PreparedSnippet};
 use crate::encode::{encode_dataset, EncodedDataset};
 use crate::scale::Scale;
 use pragformer_baselines::{analyze_snippet, BowModel, BowTrainConfig, Strictness};
-use pragformer_corpus::{Database, Dataset};
+use pragformer_corpus::{Database, Dataset, Example};
 use pragformer_eval::metrics::{confusion, BinaryMetrics, Confusion};
 use pragformer_model::trainer::{EncodedExample, Trainer};
-use pragformer_model::{EpochMetrics, PragFormer};
+use pragformer_model::{EpochMetrics, PragFormer, Task};
 use pragformer_tensor::init::SeededRng;
 use pragformer_tokenize::Representation;
 
@@ -61,15 +61,21 @@ fn train_and_predict(
     (preds, history, model)
 }
 
-/// Batch prediction helper. Each chunk runs at its length bucket
-/// (bitwise identical to `max_len` padding, proportionally cheaper).
+/// Batch prediction helper: hard labels at threshold 0.5.
 pub fn predict_all(model: &mut PragFormer, examples: &[EncodedExample], batch: usize) -> Vec<bool> {
+    positive_probs(model, examples, batch).into_iter().map(|p| p > 0.5).collect()
+}
+
+/// Head-0 positive-class probabilities in chunks of `batch`. Each chunk
+/// runs at its length bucket (bitwise identical to `max_len` padding,
+/// proportionally cheaper).
+fn positive_probs(model: &mut PragFormer, examples: &[EncodedExample], batch: usize) -> Vec<f32> {
     let max_len = model.config().max_len;
     let mut out = Vec::with_capacity(examples.len());
     let idxs: Vec<usize> = (0..examples.len()).collect();
     for chunk in idxs.chunks(batch.max(1)) {
         let b = pragformer_model::batching::gather(examples, chunk, max_len);
-        out.extend(model.predict_proba_batch(&b.ids, &b.valid, b.seq).into_iter().map(|p| p > 0.5));
+        out.extend(model.predict_proba_batch(&b.ids, &b.valid, b.seq));
     }
     out
 }
@@ -262,13 +268,14 @@ pub fn run_generalization(db: &Database, scale: Scale, seed: u64) -> Vec<SuiteOu
         .collect()
 }
 
-/// One head's held-out comparison between the two advisor backends.
+/// One head's held-out comparison between the paper's per-head ensemble
+/// and the shared-trunk advisor.
 pub struct HeadParity {
     /// Head name (`directive` / `private` / `reduction`).
     pub head: &'static str,
-    /// Confusion of the paper-faithful three-model backend.
+    /// Confusion of the paper-faithful ensemble of three N = 1 models.
     pub per_head: Confusion,
-    /// Confusion of the shared-trunk multi-task backend.
+    /// Confusion of the shared-trunk multi-task advisor.
     pub shared: Confusion,
 }
 
@@ -279,9 +286,9 @@ impl HeadParity {
     }
 }
 
-/// Outcome of the backend-parity experiment: per-head macro-F1 of
-/// [`AdvisorBackend::PerHead`] vs [`AdvisorBackend::SharedTrunk`] on the
-/// held-out test splits.
+/// Outcome of the backend-parity experiment: per-head macro-F1 of the
+/// per-head ensemble vs the shared-trunk advisor on the held-out test
+/// splits.
 pub struct BackendParity {
     /// One entry per head, in `Task` order.
     pub heads: [HeadParity; 3],
@@ -294,61 +301,94 @@ impl BackendParity {
     }
 }
 
-/// Trains both advisor backends on identical data and scores each head on
-/// its held-out test split through the full advise pipeline
-/// (`prepare_batch` → `head_probs_batch` → threshold 0.5).
-///
-/// The splits reproduce exactly what [`Advisor::train_backend`] trained
-/// on (same datasets, same seeds/salts), so the test records are unseen
-/// by both backends. Snippets the strict front-end cannot parse fall back
-/// to a negative prediction, like the paper's ComPar scoring.
-pub fn run_backend_parity(db: &Database, scale: Scale, seed: u64) -> BackendParity {
-    let mut per_head = Advisor::train_backend(db, scale, seed, AdvisorBackend::PerHead);
-    let mut shared = Advisor::train_backend(db, scale, seed, AdvisorBackend::SharedTrunk);
+/// One held-out test split, run through an advisor's front end.
+struct HeldOut {
+    prepared: Vec<Result<PreparedSnippet, pragformer_cparse::ParseError>>,
+    labels: Vec<bool>,
+}
 
-    // The one split constructor `train_backend` itself uses: the test
-    // splits below are held out from both backends by construction.
-    let (directive_ds, private_ds, reduction_ds) = crate::advisor::training_datasets(db, seed);
-
-    let mut eval_head = |examples: &[pragformer_corpus::Example],
-                         pick: fn(&crate::advisor::HeadProbs) -> f32|
-     -> (Confusion, Confusion) {
+impl HeldOut {
+    fn new(advisor: &Advisor, db: &Database, examples: &[Example]) -> HeldOut {
         let sources: Vec<String> = examples.iter().map(|e| db.records()[e.record].code()).collect();
         let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
-        let score = |advisor: &mut Advisor| -> Confusion {
-            let prepared = advisor.prepare_batch(&refs);
-            let parsed: Vec<&crate::advisor::PreparedSnippet> =
-                prepared.iter().filter_map(|p| p.as_ref().ok()).collect();
-            let probs = advisor.head_probs_batch(&parsed);
-            let mut next = 0;
-            let preds: Vec<bool> = prepared
-                .iter()
-                .map(|p| {
-                    if p.is_ok() {
-                        let verdict = pick(&probs[next]) > 0.5;
-                        next += 1;
-                        verdict
-                    } else {
-                        false // strict-front-end failure → negative
-                    }
-                })
-                .collect();
-            confusion(&preds, &labels)
-        };
-        (score(&mut per_head), score(&mut shared))
-    };
-
-    let (d_ph, d_sh) = eval_head(&directive_ds.split.test, |p| p.directive);
-    let (p_ph, p_sh) = eval_head(&private_ds.split.test, |p| p.private);
-    let (r_ph, r_sh) = eval_head(&reduction_ds.split.test, |p| p.reduction);
-    BackendParity {
-        heads: [
-            HeadParity { head: "directive", per_head: d_ph, shared: d_sh },
-            HeadParity { head: "private", per_head: p_ph, shared: p_sh },
-            HeadParity { head: "reduction", per_head: r_ph, shared: r_sh },
-        ],
+        HeldOut {
+            prepared: advisor.prepare_batch(&refs),
+            labels: examples.iter().map(|e| e.label).collect(),
+        }
     }
+
+    fn parsed(&self) -> Vec<&PreparedSnippet> {
+        self.prepared.iter().filter_map(|p| p.as_ref().ok()).collect()
+    }
+
+    /// Scores one probability per parsed snippet at threshold 0.5;
+    /// snippets the strict front-end cannot parse fall back to a
+    /// negative prediction, like the paper's ComPar scoring.
+    fn confusion(&self, probs: &[f32]) -> Confusion {
+        let mut next = probs.iter();
+        let preds: Vec<bool> =
+            self.prepared.iter().map(|p| p.is_ok() && *next.next().unwrap() > 0.5).collect();
+        confusion(&preds, &self.labels)
+    }
+
+    /// One task's probabilities from the advisor's three-head forward.
+    fn advisor_probs(&self, advisor: &mut Advisor, task: Task) -> Vec<f32> {
+        let pick = |p: &HeadProbs| match task {
+            Task::Directive => p.directive,
+            Task::Private => p.private,
+            Task::Reduction => p.reduction,
+        };
+        advisor.head_probs_batch(&self.parsed()).iter().map(pick).collect()
+    }
+}
+
+/// Trains the shared-trunk advisor and the paper's per-head ensemble
+/// (three N = 1 [`PragFormer`]s, one per task) on the same encoded
+/// examples, and scores each head on its held-out test split. Both score
+/// the advisor's `prepare_batch` output: the advisor through
+/// `head_probs_batch`, the ensemble through each model's batched forward
+/// over the same encoded ids; threshold 0.5.
+///
+/// The splits reproduce exactly what [`Advisor::train`] trained on (same
+/// datasets, same seeds/salts), so the test records are unseen by both.
+pub fn run_backend_parity(db: &Database, scale: Scale, seed: u64) -> BackendParity {
+    let data = training_data(db, scale, seed);
+    let cfg = scale.model(data.vocab.len());
+    let trainer = Trainer::new(scale.train(seed));
+    let mut rng = SeededRng::new(seed);
+    let mut ensemble = Task::ALL.map(|task| {
+        let of_task = |set: &[pragformer_model::MultiTaskExample]| -> Vec<EncodedExample> {
+            set.iter()
+                .filter(|e| e.task == task)
+                .map(|e| EncodedExample { ids: e.ids.clone(), label: e.label })
+                .collect()
+        };
+        let mut model = PragFormer::new(&cfg, &mut rng);
+        let train = of_task(&data.train);
+        if !train.is_empty() {
+            trainer.fit(&mut model, &train, &of_task(&data.valid));
+        }
+        model
+    });
+    let mut shared = Advisor::fit(data, scale, seed);
+
+    let (directive_ds, private_ds, reduction_ds) = training_datasets(db, seed);
+    let test_splits = [directive_ds, private_ds, reduction_ds];
+    let heads = Task::ALL.map(|task| {
+        let held_out = HeldOut::new(&shared, db, &test_splits[task.index()].split.test);
+        let ids: Vec<EncodedExample> = held_out
+            .parsed()
+            .iter()
+            .map(|p| EncodedExample { ids: p.cache_key(), label: false })
+            .collect();
+        let per_head = positive_probs(&mut ensemble[task.index()], &ids, 32);
+        HeadParity {
+            head: task.name(),
+            per_head: held_out.confusion(&per_head),
+            shared: held_out.confusion(&held_out.advisor_probs(&mut shared, task)),
+        }
+    });
+    BackendParity { heads }
 }
 
 /// One head's held-out comparison between f32 and int8 trunk inference.
@@ -401,56 +441,23 @@ impl Int8Parity {
 /// the tier is acceptable when the per-head macro-F1 gap stays within a
 /// couple of points of f32 while the trunk weight bytes shrink to ≲30%.
 pub fn run_int8_parity(db: &Database, scale: Scale, seed: u64) -> Int8Parity {
-    let mut advisor = Advisor::train_backend(db, scale, seed, AdvisorBackend::SharedTrunk);
+    let mut advisor = Advisor::train(db, scale, seed);
     let (trunk_f32_bytes, trunk_int8_bytes) = advisor.trunk_weight_bytes();
 
-    // Same split constructor `train_backend` uses → test splits are held
+    // Same split constructor `Advisor::train` uses → test splits are held
     // out by construction (see `run_backend_parity`).
-    let (directive_ds, private_ds, reduction_ds) = crate::advisor::training_datasets(db, seed);
-
-    let mut eval_head = |examples: &[pragformer_corpus::Example],
-                         pick: fn(&crate::advisor::HeadProbs) -> f32|
-     -> (Confusion, Confusion) {
-        let sources: Vec<String> = examples.iter().map(|e| db.records()[e.record].code()).collect();
-        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
-        let score = |advisor: &mut Advisor, int8: bool| -> Confusion {
+    let (directive_ds, private_ds, reduction_ds) = training_datasets(db, seed);
+    let test_splits = [directive_ds, private_ds, reduction_ds];
+    let heads = Task::ALL.map(|task| {
+        let held_out = HeldOut::new(&advisor, db, &test_splits[task.index()].split.test);
+        let mut score = |int8: bool| {
             advisor.set_int8(Some(int8));
-            let prepared = advisor.prepare_batch(&refs);
-            let parsed: Vec<&crate::advisor::PreparedSnippet> =
-                prepared.iter().filter_map(|p| p.as_ref().ok()).collect();
-            let probs = advisor.head_probs_batch(&parsed);
-            let mut next = 0;
-            let preds: Vec<bool> = prepared
-                .iter()
-                .map(|p| {
-                    if p.is_ok() {
-                        let verdict = pick(&probs[next]) > 0.5;
-                        next += 1;
-                        verdict
-                    } else {
-                        false // strict-front-end failure → negative
-                    }
-                })
-                .collect();
-            confusion(&preds, &labels)
+            held_out.confusion(&held_out.advisor_probs(&mut advisor, task))
         };
-        (score(&mut advisor, false), score(&mut advisor, true))
-    };
-
-    let (d_f, d_q) = eval_head(&directive_ds.split.test, |p| p.directive);
-    let (p_f, p_q) = eval_head(&private_ds.split.test, |p| p.private);
-    let (r_f, r_q) = eval_head(&reduction_ds.split.test, |p| p.reduction);
+        Int8HeadParity { head: task.name(), f32: score(false), int8: score(true) }
+    });
     advisor.set_int8(None);
-    Int8Parity {
-        heads: [
-            Int8HeadParity { head: "directive", f32: d_f, int8: d_q },
-            Int8HeadParity { head: "private", f32: p_f, int8: p_q },
-            Int8HeadParity { head: "reduction", f32: r_f, int8: r_q },
-        ],
-        trunk_f32_bytes,
-        trunk_int8_bytes,
-    }
+    Int8Parity { heads, trunk_f32_bytes, trunk_int8_bytes }
 }
 
 #[cfg(test)]
@@ -504,13 +511,13 @@ mod tests {
             assert_eq!(
                 h.per_head.total(),
                 h.shared.total(),
-                "{}: backends scored different example counts",
+                "{}: ensemble and advisor scored different example counts",
                 h.head
             );
             assert!((0.0..=1.0).contains(&h.per_head.macro_f1()), "{}", h.head);
             assert!((0.0..=1.0).contains(&h.shared.macro_f1()), "{}", h.head);
         }
-        // Both backends learn the directive task well past chance at tiny
+        // Both learn the directive task well past chance at tiny
         // scale (the clause subsets are too small to pin tightly here;
         // the small-profile parity run is recorded by the
         // `backend_parity` bench binary).

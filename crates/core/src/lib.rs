@@ -29,7 +29,7 @@ pub mod encode;
 pub mod experiments;
 pub mod scale;
 
-pub use advisor::{Advice, Advisor, AdvisorBackend, HeadProbs, PreparedSnippet};
+pub use advisor::{Advice, Advisor, HeadProbs, PreparedSnippet};
 pub use encode::{encode_dataset, EncodedDataset};
 pub use pragformer_tensor::kernel::KernelTier;
 pub use scale::Scale;

@@ -4,7 +4,7 @@
 //! dropout) used to live inline in [`crate::PragFormer`]; it is now a
 //! standalone [`ClassifierHead`] so several heads can share **one**
 //! [`Trunk`] forward — the shared-trunk multi-task model
-//! ([`crate::multitask::MultiTaskPragFormer`]) runs the encoder once per
+//! ([`crate::PragFormer::multi_task`]) runs the encoder once per
 //! snippet and only the cheap `[batch, d_model] → [batch, n_classes]`
 //! head projections per task.
 //!
@@ -278,8 +278,8 @@ impl TrunkWeightBytes {
 /// representations (§4.3's two-dense FC block).
 ///
 /// Parameters are named `{name}.fc1` / `{name}.fc2`, so the single-head
-/// [`crate::PragFormer`] (name `"head"`) keeps its historical state-dict
-/// keys and the multi-task heads get distinct ones
+/// [`crate::PragFormer::new`] (name `"head"`) keeps its historical
+/// state-dict keys and the multi-task heads get distinct ones
 /// (`head.directive.fc1`, …).
 pub struct ClassifierHead {
     fc1: Linear,

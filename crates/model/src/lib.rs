@@ -15,12 +15,13 @@
 //! * [`encoder`] — embeddings + encoder blocks (post-LN, GELU FFN);
 //! * [`head`] — the trunk/head split: [`head::Trunk`] (embeddings +
 //!   encoder + CLS pooling) and [`head::ClassifierHead`] (the two-dense
-//!   FC block), the pieces every classifier above is assembled from;
-//! * [`pragformer::PragFormer`] — one trunk + one head, the
-//!   paper-faithful single-task model;
-//! * [`multitask::MultiTaskPragFormer`] — one trunk + three task heads
-//!   (directive / private / reduction): one encoder forward per snippet
-//!   instead of three, with the multi-task training objective
+//!   FC block);
+//! * [`pragformer::PragFormer`] — the one model type: a trunk plus N
+//!   named heads. [`PragFormer::new`] is the paper's single-task model
+//!   (N = 1); [`PragFormer::multi_task`] puts the directive / private /
+//!   reduction heads on one trunk, one encoder forward per snippet
+//!   instead of three;
+//! * [`multitask`] — the multi-task training objective
 //!   ([`multitask::fit`]) on the shared engine;
 //! * [`mlm`] — MLM pre-training (15% masking, 80/10/10 mask policy);
 //! * [`batching`] — the shared length-bucketed training engine
@@ -45,8 +46,6 @@ pub mod trainer;
 pub use batching::{EpochMetrics, TrainConfig, TrainLoop};
 pub use config::ModelConfig;
 pub use head::{ClassifierHead, Trunk, TrunkWeightBytes};
-pub use multitask::{
-    MultiTaskConfig, MultiTaskExample, MultiTaskHistory, MultiTaskPragFormer, Task,
-};
+pub use multitask::{MultiTaskConfig, MultiTaskExample, MultiTaskHistory, Task};
 pub use pragformer::PragFormer;
 pub use trainer::Trainer;

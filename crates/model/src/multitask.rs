@@ -1,14 +1,13 @@
-//! Shared-trunk multi-task PragFormer: one encoder, three heads.
+//! Multi-task training of the shared-trunk PragFormer: one encoder,
+//! three heads.
 //!
 //! The paper trains three *complete* PragFormer models — directive,
-//! `private`, `reduction` — and the advisor pays three full transformer
-//! forwards per snippet even though all three read the same token
+//! `private`, `reduction` — even though all three read the same token
 //! sequence. The follow-up literature (OMPar's graph-based advisor,
 //! OMPILOT) moved to one shared code representation with per-decision
-//! task heads; [`MultiTaskPragFormer`] is that architecture on this
-//! codebase's [`Trunk`]/[`ClassifierHead`] split: **one trunk forward per
-//! snippet, three `[batch, d_model] → [batch, 2]` head projections** —
-//! roughly a 3× cut in inference compute and weights.
+//! task heads; [`PragFormer::multi_task`] is that architecture: **one
+//! trunk forward per snippet, three `[batch, d_model] → [batch, 2]` head
+//! projections**. Head `i` serves the task whose [`Task::index`] is `i`.
 //!
 //! Training runs on the shared length-bucketed engine
 //! ([`crate::batching::TrainLoop`]) through [`MultiTaskObjective`]:
@@ -23,11 +22,8 @@
 //!   aggregate ones, and best-checkpoint selection runs on the
 //!   task-weighted validation loss the engine already tracks.
 
-use crate::batching::{self, Batch, EvalStep, Objective, TrainExample, TrainLoop};
-use crate::config::ModelConfig;
-use crate::head::{ClassifierHead, Trunk};
-use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::loss;
+use crate::batching::{Batch, EvalStep, Objective, TrainExample, TrainLoop};
+use crate::pragformer::PragFormer;
 use pragformer_tensor::nn::Param;
 use pragformer_tensor::serialize::StateDict;
 
@@ -60,191 +56,6 @@ impl Task {
             Task::Private => "private",
             Task::Reduction => "reduction",
         }
-    }
-}
-
-/// One trunk, three heads.
-pub struct MultiTaskPragFormer {
-    trunk: Trunk,
-    heads: [ClassifierHead; 3],
-}
-
-impl MultiTaskPragFormer {
-    /// Builds the shared trunk and the three task heads
-    /// (`head.directive.*`, `head.private.*`, `head.reduction.*`).
-    pub fn new(cfg: &ModelConfig, rng: &mut SeededRng) -> Self {
-        let trunk = Trunk::new(cfg, rng);
-        let heads = Task::ALL.map(|t| ClassifierHead::new(&format!("head.{}", t.name()), cfg, rng));
-        Self { trunk, heads }
-    }
-
-    /// Model configuration.
-    pub fn config(&self) -> &ModelConfig {
-        self.trunk.config()
-    }
-
-    /// Model-local int8 override for the shared trunk: `Some(true)`
-    /// forces quantized inference, `Some(false)` forces f32, `None`
-    /// follows the process kernel tier.
-    pub fn set_int8_override(&mut self, force: Option<bool>) {
-        self.trunk.set_int8_override(force);
-    }
-
-    /// Static f32-vs-int8 weight accounting for the shared trunk.
-    pub fn trunk_weight_bytes(&self) -> crate::head::TrunkWeightBytes {
-        self.trunk.weight_bytes()
-    }
-
-    /// Bytes retained by the shared trunk's attention backward caches —
-    /// zero after any eval forward (cache-free inference mode).
-    pub fn retained_attention_bytes(&self) -> usize {
-        self.trunk.retained_attention_bytes()
-    }
-
-    /// Eagerly builds the inference weight caches the next eval forward
-    /// would use (trunk int8 copies or packed f32 panels, plus head
-    /// panels), moving the one-time pack cost out of the first request.
-    pub fn prepack_for_inference(&mut self) {
-        self.trunk.prepack_for_inference();
-        self.set_head_caches(false);
-    }
-
-    /// Sets the heads' weight caches for an eval (`train=false`) or
-    /// training (`train=true`) forward (see [`Trunk::weight_cache`]).
-    fn set_head_caches(&mut self, train: bool) {
-        let cache = self.trunk.weight_cache(train);
-        for h in &mut self.heads {
-            h.set_weight_cache(cache);
-        }
-    }
-
-    /// The advisor's shared-trunk hot path: one batched trunk forward,
-    /// then all three head projections (eval mode).
-    ///
-    /// `ids` is `batch × seq` flattened (`seq ≤ max_len`); returns one
-    /// `[directive, private, reduction]` positive-probability triple per
-    /// sequence. Each probability is **bitwise identical** to the same
-    /// head evaluated alone ([`MultiTaskPragFormer::predict_proba_task`])
-    /// at any batch size or padded length — the trunk's CLS rows are
-    /// row-deterministic and the heads are row-local.
-    pub fn predict_probs_batch(
-        &mut self,
-        ids: &[usize],
-        valid: &[usize],
-        seq: usize,
-    ) -> Vec<[f32; 3]> {
-        self.set_head_caches(false);
-        let cls = self.trunk.forward_cls(ids, valid, seq, false);
-        self.trunk.clear_cache();
-        let per_head: [Vec<f32>; 3] = Task::ALL.map(|t| {
-            let logits = self.heads[t.index()].forward(&cls, false);
-            loss::positive_probabilities(&logits)
-        });
-        (0..valid.len()).map(|b| [per_head[0][b], per_head[1][b], per_head[2][b]]).collect()
-    }
-
-    /// Positive-class probabilities of one head (eval mode) — the
-    /// per-task interface the parity evaluation and LIME use.
-    pub fn predict_proba_task(
-        &mut self,
-        task: Task,
-        ids: &[usize],
-        valid: &[usize],
-        seq: usize,
-    ) -> Vec<f32> {
-        self.set_head_caches(false);
-        let cls = self.trunk.forward_cls(ids, valid, seq, false);
-        self.trunk.clear_cache();
-        let logits = self.heads[task.index()].forward(&cls, false);
-        loss::positive_probabilities(&logits)
-    }
-
-    /// One fused train step for a single-task batch padded to `seq`:
-    /// forward through trunk + the task's head, CE loss, backward with
-    /// the task's gradients scaled by `loss_scale`. Returns the raw
-    /// (unscaled) batch loss. Gradient zeroing is the caller's job.
-    pub fn train_step_seq(
-        &mut self,
-        task: Task,
-        ids: &[usize],
-        valid: &[usize],
-        seq: usize,
-        labels: &[usize],
-        loss_scale: f32,
-    ) -> f32 {
-        self.set_head_caches(true);
-        let cls = self.trunk.forward_cls(ids, valid, seq, true);
-        let logits = self.heads[task.index()].forward(&cls, true);
-        let (l, mut dlogits) = loss::softmax_cross_entropy(&logits, labels);
-        if loss_scale != 1.0 {
-            for v in dlogits.data_mut() {
-                *v *= loss_scale;
-            }
-        }
-        let dcls = self.heads[task.index()].backward(&dlogits);
-        self.trunk.backward_cls(&dcls);
-        l
-    }
-
-    /// Eval-mode loss and accuracy of one task over a batch.
-    pub fn eval_step_seq(
-        &mut self,
-        task: Task,
-        ids: &[usize],
-        valid: &[usize],
-        seq: usize,
-        labels: &[usize],
-    ) -> (f32, usize) {
-        self.set_head_caches(false);
-        let cls = self.trunk.forward_cls(ids, valid, seq, false);
-        self.trunk.clear_cache();
-        let logits = self.heads[task.index()].forward(&cls, false);
-        let (l, _) = loss::softmax_cross_entropy(&logits, labels);
-        let probs = loss::positive_probabilities(&logits);
-        let correct = probs.iter().zip(labels).filter(|(p, &y)| (**p > 0.5) == (y == 1)).count();
-        (l, correct)
-    }
-
-    /// Parameter traversal: trunk, then heads in task order.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.trunk.visit_params(f);
-        for h in &mut self.heads {
-            h.visit_params(f);
-        }
-    }
-
-    /// Zeroes all gradients.
-    pub fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
-    }
-
-    /// Total trainable weights (≈ one trunk + 3 heads, vs 3× everything
-    /// for the per-head ensemble).
-    pub fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.len());
-        n
-    }
-
-    /// Captures all weights into a [`StateDict`].
-    pub fn state_dict(&mut self) -> StateDict {
-        let mut dict = StateDict::new();
-        self.visit_params(&mut |p| dict.capture(p));
-        dict
-    }
-
-    /// Restores weights by name; returns how many parameters matched.
-    /// Encoder keys are shared with [`crate::PragFormer`] and
-    /// [`crate::mlm::MlmModel`], so MLM pre-training state loads here
-    /// unchanged.
-    pub fn load_state_dict(&mut self, dict: &StateDict) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| {
-            if dict.restore(p) {
-                n += 1;
-            }
-        });
-        n
     }
 }
 
@@ -348,7 +159,7 @@ impl Accum {
 /// The multi-task objective for [`TrainLoop`]: one batch = one task, the
 /// task chosen by the engine's seeded plan.
 pub struct MultiTaskObjective<'m> {
-    model: &'m mut MultiTaskPragFormer,
+    model: &'m mut PragFormer,
     weights: [f32; 3],
     schedule: Vec<Task>,
     train_acc: [Accum; 3],
@@ -358,8 +169,10 @@ pub struct MultiTaskObjective<'m> {
 }
 
 impl<'m> MultiTaskObjective<'m> {
-    /// Wraps a model with per-task loss weights.
-    pub fn new(model: &'m mut MultiTaskPragFormer, weights: [f32; 3]) -> Self {
+    /// Wraps a three-head model (see [`PragFormer::multi_task`]) with
+    /// per-task loss weights.
+    pub fn new(model: &'m mut PragFormer, weights: [f32; 3]) -> Self {
+        assert_eq!(model.n_heads(), Task::ALL.len(), "multi-task training needs one head per task");
         Self {
             model,
             weights,
@@ -419,7 +232,14 @@ impl Objective for MultiTaskObjective<'_> {
         self.schedule.push(task);
         let w = self.weights[task.index()];
         self.model.zero_grad();
-        let loss = self.model.train_step_seq(task, &batch.ids, &batch.valid, batch.seq, &labels, w);
+        let loss = self.model.train_step_head(
+            task.index(),
+            &batch.ids,
+            &batch.valid,
+            batch.seq,
+            &labels,
+            w,
+        );
         let n = batch.indices.len() as f32;
         let acc = &mut self.train_acc[task.index()];
         acc.loss_sum += loss * n;
@@ -433,7 +253,7 @@ impl Objective for MultiTaskObjective<'_> {
         let task = Self::batch_task(examples, batch);
         let labels = Self::labels(examples, batch);
         let (loss, correct) =
-            self.model.eval_step_seq(task, &batch.ids, &batch.valid, batch.seq, &labels);
+            self.model.eval_step_head(task.index(), &batch.ids, &batch.valid, batch.seq, &labels);
         let n = batch.indices.len() as f32;
         let acc = &mut self.eval_acc[task.index()];
         acc.loss_sum += loss * n;
@@ -467,11 +287,11 @@ impl Objective for MultiTaskObjective<'_> {
     }
 }
 
-/// Fits a [`MultiTaskPragFormer`] on task-tagged examples through the
+/// Fits a three-head [`PragFormer`] on task-tagged examples through the
 /// shared engine. Restores the best-validation-loss weights (task-weighted
 /// criterion) before returning, like single-task `Trainer::fit`.
 pub fn fit(
-    model: &mut MultiTaskPragFormer,
+    model: &mut PragFormer,
     cfg: &MultiTaskConfig,
     train: &[MultiTaskExample],
     valid: &[MultiTaskExample],
@@ -483,38 +303,12 @@ pub fn fit(
     MultiTaskHistory { epochs, per_task, schedule }
 }
 
-/// Mean raw loss and accuracy of one task's examples (eval mode),
-/// bucketed like training.
-pub fn evaluate_task(
-    model: &mut MultiTaskPragFormer,
-    task: Task,
-    examples: &[MultiTaskExample],
-    batch_size: usize,
-) -> (f32, f32) {
-    let max_len = model.config().max_len;
-    let (mut loss_sum, mut n_sum, mut correct) = (0.0f32, 0.0f32, 0.0f32);
-    let lens: Vec<usize> = examples.iter().map(|e| e.ids.len()).collect();
-    for idxs in batching::plan_eval(&lens, batch_size, max_len) {
-        let batch = batching::gather(examples, &idxs, max_len);
-        let labels: Vec<usize> =
-            batch.indices.iter().map(|&i| examples[i].label as usize).collect();
-        let (l, c) = model.eval_step_seq(task, &batch.ids, &batch.valid, batch.seq, &labels);
-        let n = batch.indices.len() as f32;
-        loss_sum += l * n;
-        n_sum += n;
-        correct += c as f32;
-    }
-    if n_sum > 0.0 {
-        (loss_sum / n_sum, correct / n_sum)
-    } else {
-        (0.0, 0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trainer::synthetic_examples;
+    use crate::ModelConfig;
+    use pragformer_tensor::init::SeededRng;
 
     /// Three linearly-separable tasks over one token stream: each task's
     /// label is "contains its hot token".
@@ -565,7 +359,7 @@ mod tests {
         let train = synthetic_multitask(100, cfg.max_len, vocab, 1);
         let valid = synthetic_multitask(24, cfg.max_len, vocab, 100);
         let mut rng = SeededRng::new(3);
-        let mut model = MultiTaskPragFormer::new(&cfg, &mut rng);
+        let mut model = PragFormer::multi_task(&cfg, &mut rng);
         let history = fit(&mut model, &quick_cfg(12, 4), &train, &valid);
         assert_eq!(history.epochs.len(), 12);
         assert_eq!(history.per_task.len(), 12);
@@ -591,7 +385,7 @@ mod tests {
         let valid = synthetic_multitask(8, cfg.max_len, vocab, 70);
         let run = || {
             let mut rng = SeededRng::new(13);
-            let mut model = MultiTaskPragFormer::new(&cfg, &mut rng);
+            let mut model = PragFormer::multi_task(&cfg, &mut rng);
             let h = fit(&mut model, &quick_cfg(2, 14), &train, &valid);
             // Include post-restore predictions so checkpoint selection is
             // covered too.
@@ -612,12 +406,12 @@ mod tests {
         let vocab = 16;
         let cfg = ModelConfig::tiny(vocab);
         let mut rng = SeededRng::new(5);
-        let mut model = MultiTaskPragFormer::new(&cfg, &mut rng);
+        let mut model = PragFormer::multi_task(&cfg, &mut rng);
         let ids: Vec<usize> = vec![2, 5, 6, 7, 8, 9, 10, 11];
         let all = model.predict_probs_batch(&ids, &[8], 8);
         for t in Task::ALL {
-            let one = model.predict_proba_task(t, &ids, &[8], 8);
-            assert_eq!(all[0][t.index()].to_bits(), one[0].to_bits(), "task {t:?}");
+            let one = model.predict_proba_head(t.index(), &ids, &[8], 8);
+            assert_eq!(all[t.index()][0].to_bits(), one[0].to_bits(), "task {t:?}");
         }
     }
 
@@ -630,10 +424,10 @@ mod tests {
         let vocab = 20;
         let cfg = ModelConfig::tiny(vocab);
         let mut rng = SeededRng::new(6);
-        let mut model = MultiTaskPragFormer::new(&cfg, &mut rng);
+        let mut model = PragFormer::multi_task(&cfg, &mut rng);
         model.zero_grad();
         let ids: Vec<usize> = vec![2, 5, 6, 7, 8, 9, 10, 11];
-        let loss = model.train_step_seq(Task::Reduction, &ids, &[8], 8, &[1], 0.0);
+        let loss = model.train_step_head(Task::Reduction.index(), &ids, &[8], 8, &[1], 0.0);
         assert!(loss.is_finite() && loss > 0.0, "raw loss still reported: {loss}");
         let mut max_grad = 0.0f32;
         model.visit_params(&mut |p| {
@@ -648,28 +442,14 @@ mod tests {
     fn param_count_is_one_trunk_plus_three_heads() {
         let cfg = ModelConfig::tiny(10);
         let mut rng = SeededRng::new(7);
-        let mut mt = MultiTaskPragFormer::new(&cfg, &mut rng);
+        let mut mt = PragFormer::multi_task(&cfg, &mut rng);
         let mut rng2 = SeededRng::new(8);
-        let mut single = crate::PragFormer::new(&cfg, &mut rng2);
+        let mut single = PragFormer::new(&cfg, &mut rng2);
         let single_n = single.param_count();
         let mt_n = mt.param_count();
         // Three single-task models pay 3× everything; the shared trunk
         // pays the trunk once.
         assert!(mt_n < 2 * single_n, "shared trunk not shared: {mt_n} vs 3×{single_n}");
         assert!(mt_n > single_n, "three heads must outweigh one");
-    }
-
-    #[test]
-    fn mlm_state_loads_into_multitask_trunk() {
-        let cfg = ModelConfig::tiny(16);
-        let seqs: Vec<crate::mlm::MlmSequence> = (0..8)
-            .map(|s| crate::mlm::MlmSequence { ids: vec![2, 5 + s % 3, 6, 7, 5, 6] })
-            .collect();
-        let tc = TrainConfig { epochs: 1, batch_size: 8, lr: 1e-3, ..Default::default() };
-        let (state, _) = crate::mlm::pretrain(&cfg, &seqs, &[], &tc);
-        let mut rng = SeededRng::new(9);
-        let mut mt = MultiTaskPragFormer::new(&cfg, &mut rng);
-        let restored = mt.load_state_dict(&state);
-        assert!(restored > 5, "only {restored} encoder params restored");
     }
 }

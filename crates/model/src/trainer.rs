@@ -11,7 +11,6 @@
 use crate::batching::{self, Batch, EvalStep, Objective, TrainExample, TrainLoop};
 use crate::pragformer::PragFormer;
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::loss;
 use pragformer_tensor::nn::Param;
 use pragformer_tensor::serialize::StateDict;
 
@@ -72,13 +71,10 @@ impl Objective for FineTune<'_> {
 
     fn eval_step(&mut self, examples: &[EncodedExample], batch: &Batch) -> EvalStep {
         let labels = Self::labels(examples, batch);
-        let logits = self.model.forward_seq(&batch.ids, &batch.valid, batch.seq, false);
-        let (l, _) = loss::softmax_cross_entropy(&logits, &labels);
-        let probs = loss::positive_probabilities(&logits);
-        let correct =
-            probs.iter().zip(&labels).filter(|(p, &y)| (**p > 0.5) == (y == 1)).count() as f32;
+        let (loss, correct) =
+            self.model.eval_step_head(0, &batch.ids, &batch.valid, batch.seq, &labels);
         let n = batch.indices.len() as f32;
-        EvalStep { loss: l, weight: n, correct, scored: n }
+        EvalStep { loss, weight: n, correct: correct as f32, scored: n }
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -38,12 +38,12 @@
 //! | family | type | labels | source |
 //! |---|---|---|---|
 //! | `pragformer_span_seconds` | histogram | `span` (+ per-span extras) | [`span`] guards everywhere |
-//! | — `span="advise.prepare"` | | `backend`, `tier` | core: parse/tokenize/encode + ComPar |
-//! | — `span="advise.bucket"` | | `backend`, `tier` | core: length bucketing + in-batch dedup |
-//! | — `span="advise.forward"` | | `backend`, `tier` | core: batched model forwards |
-//! | — `span="advise.post"` | | `backend`, `tier` | core/serve: advice assembly |
-//! | `pragformer_advise_snippets_total` | counter | `backend` | core: snippets through `prepare_batch` |
-//! | `pragformer_advise_parse_errors_total` | counter | `backend` | core: snippets that failed to parse |
+//! | — `span="advise.prepare"` | | `tier` | core: parse/tokenize/encode + ComPar |
+//! | — `span="advise.bucket"` | | `tier` | core: length bucketing + in-batch dedup |
+//! | — `span="advise.forward"` | | `tier` | core: batched model forwards |
+//! | — `span="advise.post"` | | `tier` | core/serve: advice assembly |
+//! | `pragformer_advise_snippets_total` | counter | — | core: snippets through `prepare_batch` |
+//! | `pragformer_advise_parse_errors_total` | counter | — | core: snippets that failed to parse |
 //! | `pragformer_gemm_calls_total` | counter | `op` (`nn`/`nt`/`tn`), `simd` | tensor: f32 GEMM entry points |
 //! | `pragformer_gemm_flops_total` | counter | `op`, `simd` | tensor: `2·m·n·k` per GEMM |
 //! | `pragformer_pack_builds_total` | counter | — | tensor: B-panel pack builds (per-call repacks and one-time prepacks alike; zero steady-state delta under zero-repack inference) |
@@ -83,8 +83,7 @@
 //! counters; `tier` is the `pragformer_tensor::kernel` tier name
 //! (`scalar`/`avx2`/`int8`), `simd` the instruction set within a tier
 //! (`scalar`/`avx2` — the float simd on the f32 GEMM counters, the
-//! integer sub-simd on the int8 GEMM counters), `backend` the advisor
-//! backend (`per-head`/`shared-trunk`).
+//! integer sub-simd on the int8 GEMM counters).
 //!
 //! ## Logging
 //!
@@ -156,7 +155,7 @@ pub fn span(name: &str) -> Span {
     span_with(name, &[])
 }
 
-/// Starts a [`Span`] with extra labels (e.g. `backend`, `tier`). The
+/// Starts a [`Span`] with extra labels (e.g. `tier`). The
 /// `span` label is always set to `name`.
 pub fn span_with(name: &str, extra: &[(&str, &str)]) -> Span {
     if !enabled() {
@@ -206,20 +205,5 @@ mod tests {
         }
         assert_eq!(h.count(), before + 1);
         assert!(h.sum() > 0.0);
-    }
-
-    #[test]
-    fn disabled_spans_are_inert_and_register_nothing() {
-        set_enabled(true);
-        let _warm = span_histogram("test.lib_disabled", &[]);
-        set_enabled(false);
-        let len = registry_len();
-        {
-            let _guard = span("test.lib_disabled_other");
-            let _also = span_with("test.lib_disabled_third", &[("a", "b")]);
-        }
-        observe_span("test.lib_disabled_fourth", &[], 1.0);
-        assert_eq!(registry_len(), len, "disabled spans must not register metrics");
-        set_enabled(true);
     }
 }

@@ -165,9 +165,14 @@ pub fn log(level: Level, target: &str, msg: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Held by every test that sets the process-global log level.
+    static LOG_LEVEL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn level_ordering_and_threshold() {
+        let _serial = LOG_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
         set_log_level(Level::Warn);
         assert!(!log_enabled(Level::Debug));
         assert!(!log_enabled(Level::Info));
@@ -187,6 +192,7 @@ mod tests {
 
     #[test]
     fn log_lines_counter_advances() {
+        let _serial = LOG_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
         crate::set_enabled(true);
         set_log_level(Level::Info);
         let c = crate::counter(

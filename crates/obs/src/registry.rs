@@ -173,22 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_lookups_touch_nothing() {
-        crate::set_enabled(true);
-        let _seed = gauge("test_registry_disabled", "h", &[]);
-        crate::set_enabled(false);
-        let len = registry_len();
-        let c = counter("test_registry_never_registered_total", "h", &[]);
-        let g = gauge("test_registry_never_registered", "h", &[]);
-        let h = histogram("test_registry_never_registered_seconds", "h", &[], &LATENCY_BUCKETS);
-        c.inc();
-        g.set(1.0);
-        h.observe(0.5);
-        assert_eq!(registry_len(), len, "disabled lookups must not register");
-        crate::set_enabled(true);
-    }
-
-    #[test]
     fn histogram_snapshots_cover_registered_histograms() {
         crate::set_enabled(true);
         let h = histogram("test_registry_snap_seconds", "h", &[("who", "me")], &[1.0, 10.0]);

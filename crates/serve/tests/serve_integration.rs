@@ -528,7 +528,7 @@ fn tcp_metrics_scrape_coexists_with_advice() {
             "# TYPE pragformer_serve_batch_size histogram",
             "# TYPE pragformer_serve_queue_depth gauge",
             "# TYPE pragformer_span_seconds histogram",
-            "pragformer_span_seconds_bucket{backend=",
+            "pragformer_span_seconds_bucket{span=\"advise.forward\",tier=",
         ] {
             assert!(exposition.contains(family), "scrape missing {family:?}:\n{exposition}");
         }

@@ -8,7 +8,7 @@
 //!
 //! The pipeline stages (`advise.prepare` → `advise.bucket` →
 //! `advise.forward` → `advise.post`) record themselves into
-//! `pragformer_span_seconds{span,backend,tier}` histograms as a side
+//! `pragformer_span_seconds{span,tier}` histograms as a side
 //! effect of running; this binary just drives batches through and then
 //! prints the registry's view — the same numbers a Prometheus scrape of
 //! a serving process would report.
@@ -137,7 +137,7 @@ fn main() {
     }
 
     // Per-stage breakdown from the span registry: one row per
-    // (stage, backend, tier) series the runs above populated.
+    // (stage, tier) series the runs above populated.
     let mut stages: Vec<_> = obs::histogram_snapshots()
         .into_iter()
         .filter(|s| s.name == "pragformer_span_seconds" && s.count > 0)
