@@ -8,7 +8,7 @@
 //! by scanning the token stream for constructs outside the engine's
 //! grammar before analysis begins.
 
-use pragformer_cparse::lexer::{lex, Keyword, Punct, Token};
+use pragformer_cparse::lexer::{lex, Keyword, Punct, SpannedToken, Token};
 
 /// Front-end strictness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,10 +39,15 @@ fn is_unknown_typedef(name: &str) -> bool {
 /// Checks a snippet against the strict grammar. `Ok(())` means the
 /// engine may proceed; `Err(reason)` is a parse failure.
 pub fn check_frontend(source: &str, strictness: Strictness) -> Result<(), String> {
-    let tokens = match lex(source) {
-        Ok(t) => t,
-        Err(e) => return Err(format!("lex error: {e}")),
-    };
+    match lex(source) {
+        Ok(tokens) => check_tokens(&tokens, strictness),
+        Err(e) => Err(format!("lex error: {e}")),
+    }
+}
+
+/// [`check_frontend`] over a token stream already lexed from the
+/// snippet, so a caller that also parses the tokens lexes the text once.
+pub fn check_tokens(tokens: &[SpannedToken], strictness: Strictness) -> Result<(), String> {
     if strictness == Strictness::Lenient {
         return Ok(());
     }

@@ -10,7 +10,7 @@ mod analysis;
 mod frontend;
 
 pub use analysis::{analyze_loop, LoopAnalysis};
-pub use frontend::{check_frontend, Strictness};
+pub use frontend::{check_frontend, check_tokens, Strictness};
 
 use pragformer_cparse::omp::{OmpClause, OmpDirective};
 use pragformer_cparse::{parse_snippet, Stmt};

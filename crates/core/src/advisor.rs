@@ -34,11 +34,11 @@
 
 use crate::encode::encode_dataset;
 use crate::scale::Scale;
-use pragformer_baselines::compar::{analyze_stmts, check_frontend};
+use pragformer_baselines::compar::{analyze_stmts, check_tokens};
 use pragformer_baselines::{ComparResult, Strictness};
 use pragformer_corpus::{generate, ClauseKind, Database, Dataset, Example};
 use pragformer_cparse::omp::{OmpClause, OmpDirective};
-use pragformer_cparse::{parse_snippet, ParseError};
+use pragformer_cparse::{lex, parse_snippet_tokens, ParseError};
 use pragformer_model::multitask::{self, MultiTaskConfig, MultiTaskExample, Task};
 use pragformer_model::PragFormer;
 use pragformer_obs as obs;
@@ -414,14 +414,16 @@ impl Advisor {
     /// The front-end for one snippet: parse, tokenize, encode, and run
     /// the S2S dependence analysis. No model weights are touched.
     ///
-    /// The snippet is parsed once: ComPar runs its strict front-end gate
-    /// on the text and then analyzes the statements already parsed here,
-    /// which gives exactly `analyze_snippet(source, Strictness::Strict)`.
+    /// The snippet is lexed and parsed once: the parser and ComPar's
+    /// strict front-end gate share one token stream, and ComPar analyzes
+    /// the statements parsed here, which gives exactly
+    /// `analyze_snippet(source, Strictness::Strict)`.
     pub fn prepare(&self, source: &str) -> Result<PreparedSnippet, ParseError> {
-        let stmts = parse_snippet(source)?;
+        let lexed = lex(source)?;
+        let stmts = parse_snippet_tokens(&lexed)?;
         let tokens = tokens_for(&stmts, Representation::Text);
         let (ids, valid) = self.vocab.encode(&tokens, self.max_len);
-        let compar = match check_frontend(source, Strictness::Strict) {
+        let compar = match check_tokens(&lexed, Strictness::Strict) {
             Ok(()) => analyze_stmts(&stmts),
             Err(reason) => ComparResult::ParseFailure(reason),
         };

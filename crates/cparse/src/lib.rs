@@ -16,7 +16,8 @@
 //!
 //! * [`lex`] — token stream with source positions;
 //! * [`parse_translation_unit`] — whole files (functions + globals);
-//! * [`parse_snippet`] — statement lists, the shape of Open-OMP records;
+//! * [`parse_snippet`] — statement lists, the shape of Open-OMP records
+//!   ([`parse_snippet_tokens`] parses the same from a lexed token stream);
 //! * [`omp::OmpDirective::parse`] — OpenMP pragma lines;
 //! * [`dfs::serialize_stmts`] — pycparser-style DFS token stream;
 //! * [`printer`] — AST → C source (used by the corpus generator, so the
@@ -42,7 +43,9 @@ pub mod printer;
 
 pub use ast::*;
 pub use lexer::{lex, LexError, SpannedToken, Token};
-pub use parser::{parse_snippet, parse_translation_unit, ParseError, MAX_NESTING_DEPTH};
+pub use parser::{
+    parse_snippet, parse_snippet_tokens, parse_translation_unit, ParseError, MAX_NESTING_DEPTH,
+};
 
 /// Result of parsing: either value or positioned error.
 pub type ParseResult<T> = Result<T, ParseError>;

@@ -77,7 +77,7 @@ impl From<crate::lexer::LexError> for ParseError {
 /// Parses a full file: function definitions and global declarations.
 pub fn parse_translation_unit(src: &str) -> Result<TranslationUnit, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(&tokens);
     let mut items = Vec::new();
     while !p.at_end() {
         items.push(p.item()?);
@@ -88,7 +88,13 @@ pub fn parse_translation_unit(src: &str) -> Result<TranslationUnit, ParseError> 
 /// Parses a statement list — the shape of an Open-OMP record (a loop nest
 /// possibly preceded by declarations and a pragma).
 pub fn parse_snippet(src: &str) -> Result<Vec<Stmt>, ParseError> {
-    let tokens = lex(src)?;
+    parse_snippet_tokens(&lex(src)?)
+}
+
+/// [`parse_snippet`] over a token stream [`lex`] already produced, for
+/// callers that inspect the tokens themselves and should not lex the
+/// text twice.
+pub fn parse_snippet_tokens(tokens: &[SpannedToken]) -> Result<Vec<Stmt>, ParseError> {
     let mut p = Parser::new(tokens);
     let mut stmts = Vec::new();
     while !p.at_end() {
@@ -97,15 +103,15 @@ pub fn parse_snippet(src: &str) -> Result<Vec<Stmt>, ParseError> {
     Ok(stmts)
 }
 
-struct Parser {
-    toks: Vec<SpannedToken>,
+struct Parser<'a> {
+    toks: &'a [SpannedToken],
     pos: usize,
     /// Current nesting level (see [`MAX_NESTING_DEPTH`]).
     depth: usize,
 }
 
-impl Parser {
-    fn new(toks: Vec<SpannedToken>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(toks: &'a [SpannedToken]) -> Self {
         Self { toks, pos: 0, depth: 0 }
     }
 

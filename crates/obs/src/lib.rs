@@ -65,9 +65,10 @@
 //! | `pragformer_serve_queue_depth` | gauge | `server` | serve: submitted-not-yet-collected requests |
 //! | `pragformer_serve_queue_hwm` | gauge | `server` | serve: high-water mark of the queue depth |
 //! | `pragformer_serve_max_batch` | gauge | `server` | serve: largest batch observed |
-//! | `pragformer_serve_cache_hits_total` | counter | `server` | serve: advice-cache hits |
-//! | `pragformer_serve_cache_misses_total` | counter | `server` | serve: advice-cache misses |
-//! | `pragformer_serve_cache_evictions_total` | counter | `server` | serve: advice-cache evictions |
+//! | `pragformer_serve_cache_hits_total` | counter | `server` | serve: advise requests answered from the source-text cache, on the submit path or by the collector |
+//! | `pragformer_serve_cache_misses_total` | counter | `server` | serve: advise requests the collector advised; hits + misses = advise requests |
+//! | `pragformer_serve_cache_evictions_total` | counter | `server` | serve: advice-cache evictions (entry bound or key-byte budget) |
+//! | `pragformer_serve_panics_total` | counter | `server` | serve: collector batches whose advising panicked (their requests got an internal error) |
 //! | `pragformer_serve_http_requests_total` | counter | `path` | serve: HTTP requests on the NDJSON port |
 //! | `pragformer_serve_rejected_lines_total` | counter | — | serve: request lines over the TCP front-end's line-length cap |
 //! | `pragformer_train_epochs_total` | counter | — | model: epochs completed by `TrainLoop::fit` |

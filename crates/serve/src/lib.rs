@@ -15,12 +15,17 @@
 //!    forward per batch, waiting at most [`ServeConfig::deadline`] past
 //!    the first request and never exceeding [`ServeConfig::max_batch`].
 //!    The submit queue is bounded (backpressure), parse errors reach
-//!    only the submitting request, and shutdown drains every accepted
-//!    request.
+//!    only the submitting request, a panic while advising one batch
+//!    fails only that batch's requests, and shutdown drains every
+//!    accepted request.
 //! 2. **[`cache`]** — a cross-request LRU [`AdviceCache`] keyed on the
-//!    encoded id sequence, generalizing `advise_batch`'s in-batch dedup
-//!    map across requests: repeated snippets skip the model forward
-//!    entirely. Hit/miss/eviction counters feed [`ServerStats`].
+//!    exact source text and holding the final answer (advice or parse
+//!    error), generalizing `advise_batch`'s in-batch dedup map across
+//!    requests. [`Client::submit`] looks it up before the queue, so a
+//!    repeated snippet is answered at once: no queueing, no deadline,
+//!    no front end (parse, encode, ComPar) and no forward. Misses are
+//!    advised by the collector, which caches every answer.
+//!    Hit/miss/eviction counters feed [`ServerStats`].
 //! 3. **[`tcp`]** + **[`wire`]** — a std-TCP front-end speaking
 //!    newline-delimited JSON (one request/response per line, hand-rolled
 //!    serde). Connections (capped by [`ServeConfig::tcp_workers`]) are
@@ -39,10 +44,12 @@
 //! direct `Advisor::advise` call on the same snippet returns. This
 //! follows from the kernel row-determinism contract
 //! (`pragformer_tensor::ops`): head probabilities depend only on the
-//! encoded ids, never on batch composition or padding, so they can be
-//! shared across a batch and cached across requests without changing a
-//! single bit. The integration tests assert it end to end, including
-//! over the TCP wire (shortest-roundtrip float formatting).
+//! encoded ids, never on batch composition or padding, and the ComPar
+//! analysis reads only the text. Advice is therefore a pure function of
+//! the source text, so it can be shared across a batch and cached
+//! across requests without changing a single bit. The integration tests
+//! and a proptest over random request mixes assert it end to end,
+//! including over the TCP wire (shortest-roundtrip float formatting).
 //!
 //! ## Quickstart
 //!
@@ -68,7 +75,7 @@ pub mod scheduler;
 pub mod tcp;
 pub mod wire;
 
-pub use cache::{AdviceCache, CacheStats};
+pub use cache::AdviceCache;
 pub use scheduler::{AdvisorServer, Client, Pending, ServeConfig, ServeError, ServerStats};
 pub use tcp::TcpServer;
 pub use wire::{WireRequest, WireResponse};

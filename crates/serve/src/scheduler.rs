@@ -1,9 +1,11 @@
-//! Deadline-coalescing micro-batch scheduler.
+//! Deadline-coalescing micro-batch scheduler with a submit-path cache.
 //!
-//! Concurrent callers submit one snippet each through a [`Client`]; a
-//! dedicated **collector thread** coalesces them into `advise_batch`-style
-//! batched forwards, which PR 1 made ~8× cheaper than per-snippet calls.
-//! The batching policy is the classic latency/throughput trade:
+//! Concurrent callers submit one snippet each through a [`Client`]. A
+//! snippet whose text is already in the shared [`AdviceCache`] is
+//! answered inside [`Client::submit`] and never queues. Every other
+//! request goes to a dedicated **collector thread**, which coalesces
+//! requests into batched `Advisor::advise_batch` calls. The batching
+//! policy is the classic latency/throughput trade:
 //!
 //! * the collector blocks until a first request arrives, then keeps
 //!   accepting more until either [`ServeConfig::max_batch`] requests are
@@ -15,37 +17,53 @@
 //!   when the collector falls behind, `Client::advise` blocks in `send`
 //!   instead of growing an unbounded backlog (backpressure).
 //!
-//! Each batch runs the cheap front-end (parse/tokenize/encode + S2S
-//! analysis, parallel on the persistent pool), consults the cross-request
-//! [`AdviceCache`] keyed on encoded ids, runs **one batched forward over
-//! the misses only**, and replies per request. Parse errors travel back
-//! only to the request that submitted the bad snippet; the rest of the
-//! batch is unaffected.
+//! The collector looks each request of a batch up again, since an
+//! earlier batch may have answered the same text while the request
+//! waited, runs **one** `advise_batch` over the requests that still
+//! miss, caches every answer and replies per request. Parse errors
+//! travel back only to the request that submitted the bad snippet, and
+//! are cached like advice. One mutex guards the cache; it is held for a
+//! lookup or an insert, never across a forward.
+//!
+//! A panic while a batch is advised is caught: that batch's unanswered
+//! requests get [`ServeError::Internal`], nothing from the batch is
+//! cached, the panic is counted in `pragformer_serve_panics_total`, and
+//! the collector goes on serving.
 //!
 //! ## Determinism
 //!
-//! Coalescing and caching never change an answer: head probabilities are
-//! bitwise row-deterministic regardless of batch composition (see
-//! `pragformer_tensor::ops`), the cache stores exactly those
-//! probabilities, and the per-source dependence analysis re-runs on every
-//! request. A response is therefore bit-identical to what a direct
-//! `Advisor::advise` call on the same snippet would return.
+//! Caching and coalescing never change an answer. Advice is a pure
+//! function of the source text: head probabilities are bitwise
+//! row-deterministic regardless of batch composition (see
+//! `pragformer_tensor::ops`), and the ComPar analysis reads only the
+//! text. So the cached answer of a text is the one `Advisor::advise`
+//! gives it, and `advise_batch` over a coalesced batch gives the same
+//! bits as `advise` per snippet. A response is therefore bit-identical
+//! to what a direct `Advisor::advise` call on the same snippet returns.
+//!
+//! ## Counting
+//!
+//! Every advise request is counted once in
+//! [`ServerStats::cache_hits`] or [`ServerStats::cache_misses`], by
+//! whichever of the submit path and the collector answered it, and once
+//! in [`ServerStats::requests`].
 //!
 //! ## Shutdown
 //!
-//! [`AdvisorServer::shutdown`] (and `Drop`) sends a control message; the
-//! collector finishes the batch it is building, drains every request
-//! already in the queue, answers them all, and exits. Requests submitted
-//! after the drain observe [`ServeError::Closed`].
+//! [`AdvisorServer::shutdown`] (and `Drop`) marks the server closed and
+//! sends a control message; the collector finishes the batch it is
+//! building, drains every request already in the queue, answers them
+//! all, and exits. Requests submitted after shutdown observe
+//! [`ServeError::Closed`], cached snippets included.
 
-use crate::cache::{AdviceCache, CacheStats};
-use pragformer_core::{Advice, Advisor, HeadProbs, PreparedSnippet};
+use crate::cache::{AdviceCache, Answer};
+use pragformer_core::{Advice, Advisor};
 use pragformer_cparse::ParseError;
 use pragformer_obs as obs;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,6 +107,9 @@ pub enum ServeError {
     Parse(ParseError),
     /// The server shut down before (or while) the request was in flight.
     Closed,
+    /// Advising the request's batch panicked. Only that batch's requests
+    /// see this; the server goes on serving.
+    Internal,
 }
 
 impl std::fmt::Display for ServeError {
@@ -96,6 +117,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Parse(e) => write!(f, "parse error: {e}"),
             ServeError::Closed => write!(f, "advisory server is shut down"),
+            ServeError::Internal => write!(f, "internal error while advising this request"),
         }
     }
 }
@@ -117,13 +139,31 @@ enum Msg {
     Shutdown,
 }
 
+/// State shared by the clients, the collector and the server handle.
+struct Shared {
+    stats: StatsInner,
+    /// The one advice cache. Locked only for a lookup or an insert.
+    cache: Mutex<AdviceCache>,
+    /// Set by shutdown before the shutdown message is sent, so a later
+    /// submit is refused even when its answer is cached.
+    closed: AtomicBool,
+}
+
+impl Shared {
+    fn cache(&self) -> MutexGuard<'_, AdviceCache> {
+        // No code panics while holding the lock, so a poisoned lock still
+        // guards a consistent cache.
+        self.cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
 /// Cheap, cloneable handle for submitting snippets to a running
 /// [`AdvisorServer`]. Used in-process by tests and benches, and by the
 /// TCP front-end's connection handlers.
 #[derive(Clone)]
 pub struct Client {
     tx: SyncSender<Msg>,
-    stats: Arc<StatsInner>,
+    shared: Arc<Shared>,
 }
 
 impl Client {
@@ -131,7 +171,7 @@ impl Client {
     /// [`AdvisorServer::stats`]) — lets front-ends answer `stats` wire
     /// requests without a scheduler round-trip.
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
     /// Submits one snippet and blocks until its advice (or error) comes
     /// back. Blocks earlier — in the submit itself — when the bounded
@@ -142,22 +182,36 @@ impl Client {
 
     /// Enqueues one snippet without waiting for the answer.
     ///
-    /// Lets a single caller put several requests in flight at once —
-    /// they land in the same collector batch and coalesce into one
-    /// forward, exactly like requests from distinct clients. The TCP
-    /// front-end submits every request line this way as soon as it
-    /// arrives. Blocks only for queue space (backpressure), never for
-    /// the model.
+    /// A snippet whose text is cached is answered here: the returned
+    /// `Pending` is already ready, and the request never queues. Any
+    /// other snippet goes to the collector. Lets a single caller put
+    /// several requests in flight at once — they land in the same
+    /// collector batch and coalesce into one forward, exactly like
+    /// requests from distinct clients. The TCP front-end submits every
+    /// request line this way as soon as it arrives. Blocks only for
+    /// queue space (backpressure), never for the model.
     pub fn submit(&self, source: &str) -> Result<Pending, ServeError> {
+        let shared = &*self.shared;
+        if shared.closed.load(Ordering::Acquire) {
+            return Err(ServeError::Closed);
+        }
+        let hit = shared.cache().get(source);
+        if let Some(answer) = hit {
+            // Counted before the answer is handed out, as the collector
+            // counts a batch before replying.
+            shared.stats.cache_hits.inc();
+            shared.stats.requests.inc();
+            return Ok(Pending(Reply::Ready(answer.map_err(ServeError::Parse))));
+        }
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
         // Count the request as queued before the (possibly blocking) send
         // so the depth gauge covers requests waiting for queue space too.
-        let depth = self.stats.queue_depth.add(1.0);
-        self.stats.queue_hwm.set_max(depth);
+        let depth = shared.stats.queue_depth.add(1.0);
+        shared.stats.queue_hwm.set_max(depth);
         match self.tx.send(Msg::Request(Request { source: source.to_string(), reply: reply_tx })) {
-            Ok(()) => Ok(Pending { rx: reply_rx }),
+            Ok(()) => Ok(Pending(Reply::Queued(reply_rx))),
             Err(_) => {
-                self.stats.queue_depth.add(-1.0);
+                shared.stats.queue_depth.add(-1.0);
                 Err(ServeError::Closed)
             }
         }
@@ -166,24 +220,35 @@ impl Client {
 
 /// A submitted request whose answer has not been awaited yet.
 #[must_use = "a Pending holds a reply slot; call wait() to get the advice"]
-pub struct Pending {
-    rx: std::sync::mpsc::Receiver<Result<Advice, ServeError>>,
+pub struct Pending(Reply);
+
+/// Where a [`Pending`]'s answer comes from.
+enum Reply {
+    /// Answered on the submit path from the cache.
+    Ready(Result<Advice, ServeError>),
+    /// Queued for the collector, which answers on this channel.
+    Queued(Receiver<Result<Advice, ServeError>>),
 }
 
 impl Pending {
     /// Blocks until the collector answers this request.
     pub fn wait(self) -> Result<Advice, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::Closed))
+        match self.0 {
+            Reply::Ready(answer) => answer,
+            Reply::Queued(rx) => rx.recv().unwrap_or(Err(ServeError::Closed)),
+        }
     }
 
-    /// The answer if the collector has already sent it, without
-    /// blocking; the `Pending` itself back while the request is still in
-    /// flight.
+    /// The answer if it is already there, without blocking; the
+    /// `Pending` itself back while the request is still in flight.
     pub fn try_wait(self) -> Result<Result<Advice, ServeError>, Pending> {
-        match self.rx.try_recv() {
-            Ok(answer) => Ok(answer),
-            Err(TryRecvError::Empty) => Err(self),
-            Err(TryRecvError::Disconnected) => Ok(Err(ServeError::Closed)),
+        match self.0 {
+            Reply::Ready(answer) => Ok(answer),
+            Reply::Queued(rx) => match rx.try_recv() {
+                Ok(answer) => Ok(answer),
+                Err(TryRecvError::Empty) => Err(Pending(Reply::Queued(rx))),
+                Err(TryRecvError::Disconnected) => Ok(Err(ServeError::Closed)),
+            },
         }
     }
 }
@@ -203,9 +268,11 @@ pub struct ServerStats {
     pub max_batch: u64,
     /// High-water mark of the submit queue depth.
     pub queue_hwm: u64,
-    /// Cache lookups that skipped the model forward.
+    /// Advise requests answered from the cache, on the submit path or
+    /// by the collector.
     pub cache_hits: u64,
-    /// Cache lookups that required a forward.
+    /// Advise requests the cache could not answer; the collector advised
+    /// them. Hits plus misses count every advise request once.
     pub cache_misses: u64,
     /// Cache entries evicted to make room.
     pub cache_evictions: u64,
@@ -232,6 +299,7 @@ struct StatsInner {
     cache_hits: Arc<obs::Counter>,
     cache_misses: Arc<obs::Counter>,
     cache_evictions: Arc<obs::Counter>,
+    panics: Arc<obs::Counter>,
     batch_size: Arc<obs::Histogram>,
     deadline_wait: Arc<obs::Histogram>,
 }
@@ -280,17 +348,22 @@ impl StatsInner {
                 ),
                 cache_hits: obs::counter(
                     "pragformer_serve_cache_hits_total",
-                    "Advice-cache lookups that skipped the model forward",
+                    "Advise requests answered from the advice cache",
                     &server,
                 ),
                 cache_misses: obs::counter(
                     "pragformer_serve_cache_misses_total",
-                    "Advice-cache lookups that required a forward",
+                    "Advise requests the advice cache could not answer",
                     &server,
                 ),
                 cache_evictions: obs::counter(
                     "pragformer_serve_cache_evictions_total",
                     "Advice-cache entries evicted to make room",
+                    &server,
+                ),
+                panics: obs::counter(
+                    "pragformer_serve_panics_total",
+                    "Collector batches whose advising panicked",
                     &server,
                 ),
                 batch_size: obs::histogram(
@@ -318,6 +391,7 @@ impl StatsInner {
                 cache_hits: Arc::new(obs::Counter::new()),
                 cache_misses: Arc::new(obs::Counter::new()),
                 cache_evictions: Arc::new(obs::Counter::new()),
+                panics: Arc::new(obs::Counter::new()),
                 batch_size: Arc::new(obs::Histogram::new(&obs::SIZE_BUCKETS)),
                 deadline_wait: Arc::new(obs::Histogram::new(&obs::LATENCY_BUCKETS)),
             }
@@ -339,51 +413,62 @@ impl StatsInner {
     }
 }
 
-/// A running advisory server: one collector thread owning the advisor
-/// and the cross-request cache. Construct with [`AdvisorServer::start`],
-/// submit through [`AdvisorServer::client`] handles.
+/// A running advisory server: one collector thread owning the advisor,
+/// and the cross-request cache it shares with every client. Construct
+/// with [`AdvisorServer::start`], submit through [`AdvisorServer::client`]
+/// handles.
 pub struct AdvisorServer {
     tx: SyncSender<Msg>,
     collector: Option<JoinHandle<Advisor>>,
-    stats: Arc<StatsInner>,
+    shared: Arc<Shared>,
 }
 
 impl AdvisorServer {
     /// Takes ownership of a trained advisor and starts the collector.
     pub fn start(advisor: Advisor, config: ServeConfig) -> AdvisorServer {
         let (tx, rx) = sync_channel::<Msg>(config.queue_capacity.max(1));
-        let stats = Arc::new(StatsInner::new());
-        let stats2 = Arc::clone(&stats);
+        let shared = Arc::new(Shared {
+            stats: StatsInner::new(),
+            cache: Mutex::new(AdviceCache::new(config.cache_capacity)),
+            closed: AtomicBool::new(false),
+        });
+        let shared2 = Arc::clone(&shared);
         let collector = std::thread::Builder::new()
             .name("pragformer-serve-collector".to_string())
-            .spawn(move || collector_loop(advisor, config, rx, stats2))
+            .spawn(move || collector_loop(advisor, config, rx, &shared2))
             .expect("failed to spawn collector thread");
-        AdvisorServer { tx, collector: Some(collector), stats }
+        AdvisorServer { tx, collector: Some(collector), shared }
     }
 
     /// A new submit handle. Handles stay valid until shutdown; submits
     /// after shutdown return [`ServeError::Closed`].
     pub fn client(&self) -> Client {
-        Client { tx: self.tx.clone(), stats: Arc::clone(&self.stats) }
+        Client { tx: self.tx.clone(), shared: Arc::clone(&self.shared) }
     }
 
     /// Current serving counters.
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Stops the collector after it drains and answers every request
     /// already submitted, returning the advisor for reuse.
     pub fn shutdown(mut self) -> Advisor {
-        let _ = self.tx.send(Msg::Shutdown);
+        self.stop();
         self.collector.take().expect("collector joined once").join().expect("collector panic")
+    }
+
+    /// Refuses further submits, then tells the collector to drain.
+    fn stop(&self) {
+        self.shared.closed.store(true, Ordering::Release);
+        let _ = self.tx.send(Msg::Shutdown);
     }
 }
 
 impl Drop for AdvisorServer {
     fn drop(&mut self) {
         if let Some(handle) = self.collector.take() {
-            let _ = self.tx.send(Msg::Shutdown);
+            self.stop();
             let _ = handle.join();
         }
     }
@@ -394,9 +479,9 @@ fn collector_loop(
     mut advisor: Advisor,
     config: ServeConfig,
     rx: Receiver<Msg>,
-    stats: Arc<StatsInner>,
+    shared: &Shared,
 ) -> Advisor {
-    let mut cache = AdviceCache::new(config.cache_capacity);
+    let stats = &shared.stats;
     let max_batch = config.max_batch.max(1);
     // Every received request leaves the submit queue here, so the depth
     // gauge decrements at each receive site.
@@ -442,7 +527,7 @@ fn collector_loop(
             }
         }
         let wait = formed.elapsed().as_secs_f64();
-        process_batch(&mut advisor, &mut cache, &stats, batch, max_batch, Some(wait));
+        process_batch(&mut advisor, shared, batch, max_batch, Some(wait));
         if shutting_down {
             break 'serve;
         }
@@ -463,64 +548,63 @@ fn collector_loop(
         }
         // Drain batches never waited on a deadline; their wait is not a
         // meaningful latency sample.
-        process_batch(&mut advisor, &mut cache, &stats, batch, max_batch, None);
+        process_batch(&mut advisor, shared, batch, max_batch, None);
     }
     advisor
 }
 
-/// Answers one coalesced batch: front-end → cache → one forward over the
-/// misses → per-request replies. `wait_secs` is the first-request-to-
-/// dispatch wait (`None` for shutdown-drain batches, which never waited
-/// on a deadline).
+/// A batch holding this exact text panics while it is advised, as a
+/// fault in the front end or the forward would.
+#[cfg(test)]
+const PANIC_SOURCE: &str = "/* injected collector panic */";
+
+/// Answers one coalesced batch: cache lookup → one `advise_batch` over
+/// the misses → cache inserts → per-request replies. `wait_secs` is the
+/// first-request-to-dispatch wait (`None` for shutdown-drain batches,
+/// which never waited on a deadline).
 fn process_batch(
     advisor: &mut Advisor,
-    cache: &mut AdviceCache,
-    stats: &StatsInner,
+    shared: &Shared,
     batch: Vec<Request>,
     max_batch: usize,
     wait_secs: Option<f64>,
 ) {
-    let sources: Vec<&str> = batch.iter().map(|r| r.source.as_str()).collect();
-    let prepared: Vec<Result<PreparedSnippet, ParseError>> = advisor.prepare_batch(&sources);
+    let stats = &shared.stats;
+    // An earlier batch may have answered a text while its request waited.
+    let mut answers: Vec<Option<Answer>> = {
+        let mut cache = shared.cache();
+        batch.iter().map(|r| cache.get(&r.source)).collect()
+    };
+    let misses: Vec<usize> = (0..batch.len()).filter(|&i| answers[i].is_none()).collect();
 
-    // Consult the cache once per distinct encoded key; collect the
-    // snippets that genuinely need a model forward.
-    let keys: Vec<Option<Vec<usize>>> =
-        prepared.iter().map(|p| p.as_ref().ok().map(|p| p.cache_key())).collect();
-    let mut resolved: HashMap<&[usize], HeadProbs> = HashMap::new();
-    let mut pending: std::collections::HashSet<&[usize]> = std::collections::HashSet::new();
-    let mut miss_refs: Vec<&PreparedSnippet> = Vec::new();
-    let mut miss_keys: Vec<&[usize]> = Vec::new();
-    for (p, key) in prepared.iter().zip(&keys) {
-        let (Ok(p), Some(key)) = (p, key) else { continue };
-        let key = key.as_slice();
-        if resolved.contains_key(key) || pending.contains(key) {
-            continue;
-        }
-        match cache.get(key) {
-            Some(probs) => {
-                resolved.insert(key, probs);
+    if !misses.is_empty() {
+        let sources: Vec<&str> = misses.iter().map(|&i| batch[i].source.as_str()).collect();
+        let advised = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if sources.contains(&PANIC_SOURCE) {
+                panic!("injected collector panic");
             }
-            None => {
-                pending.insert(key);
-                miss_keys.push(key);
-                miss_refs.push(p);
+            advisor.advise_batch(&sources)
+        }));
+        match advised {
+            Ok(fresh) => {
+                let mut cache = shared.cache();
+                for (&i, answer) in misses.iter().zip(fresh) {
+                    cache.insert(&batch[i].source, answer.clone());
+                    answers[i] = Some(answer);
+                }
+                stats.cache_evictions.set(cache.evictions());
             }
-        }
-    }
-
-    // One bucketed, batched forward over the cache misses only.
-    if !miss_refs.is_empty() {
-        let fresh = advisor.head_probs_batch(&miss_refs);
-        for (key, probs) in miss_keys.iter().zip(&fresh) {
-            cache.insert(key.to_vec(), *probs);
-            resolved.insert(key, *probs);
+            // The misses stay unanswered and nothing is cached.
+            Err(_) => stats.panics.inc(),
         }
     }
 
     // Publish counters BEFORE replying: a client that has its answer in
     // hand must observe stats covering its own batch.
     stats.requests.add(batch.len() as u64);
+    stats.cache_hits.add((batch.len() - misses.len()) as u64);
+    stats.cache_misses.add(misses.len() as u64);
     stats.batches.inc();
     if batch.len() >= max_batch {
         stats.batches_full.inc();
@@ -532,21 +616,66 @@ fn process_batch(
     if let Some(w) = wait_secs {
         stats.deadline_wait.observe(w);
     }
-    let CacheStats { hits, misses, evictions } = cache.stats();
-    stats.cache_hits.set(hits);
-    stats.cache_misses.set(misses);
-    stats.cache_evictions.set(evictions);
 
     // Reply per request; a dropped receiver (client gone) is ignored.
-    for (req, (p, key)) in batch.iter().zip(prepared.iter().zip(&keys)) {
-        let response = match (p, key) {
-            (Ok(p), Some(key)) => {
-                let probs = resolved[key.as_slice()];
-                Ok(Advisor::advice_from_parts(probs, p.compar()))
-            }
-            (Err(e), _) => Err(ServeError::Parse(e.clone())),
-            (Ok(_), None) => unreachable!("parsed snippets always carry a key"),
+    for (req, answer) in batch.iter().zip(answers) {
+        let response = match answer {
+            Some(answer) => answer.map_err(ServeError::Parse),
+            None => Err(ServeError::Internal),
         };
         let _ = req.reply.send(response);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pragformer_core::Scale;
+
+    const GOOD: &str = "for (i = 0; i < n; i++) a[i] = b[i] + c[i];";
+
+    fn assert_same_bits(a: &Advice, b: &Advice) {
+        assert_eq!(a.needs_directive, b.needs_directive);
+        assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+        assert_eq!(a.private_probability.to_bits(), b.private_probability.to_bits());
+        assert_eq!(a.reduction_probability.to_bits(), b.reduction_probability.to_bits());
+        assert_eq!(a.compar_agrees, b.compar_agrees);
+        assert_eq!(
+            a.suggestion.as_ref().map(|d| d.to_string()),
+            b.suggestion.as_ref().map(|d| d.to_string())
+        );
+    }
+
+    #[test]
+    fn collector_panic_answers_its_batch_and_keeps_serving() {
+        let mut advisor = Advisor::untrained(Scale::Tiny, 3);
+        let direct = advisor.advise(GOOD).expect("snippet parses");
+        // Both submits below fill one batch: the long deadline never
+        // closes it first.
+        let server = AdvisorServer::start(
+            advisor,
+            ServeConfig {
+                deadline: Duration::from_secs(30),
+                max_batch: 2,
+                ..ServeConfig::default()
+            },
+        );
+        let client = server.client();
+        let faulty = client.submit(PANIC_SOURCE).expect("server is running");
+        let neighbor = client.submit(GOOD).expect("server is running");
+        assert!(matches!(faulty.wait(), Err(ServeError::Internal)));
+        assert!(matches!(neighbor.wait(), Err(ServeError::Internal)));
+        assert_eq!(server.shared.stats.panics.get(), 1);
+        assert!(server.shared.cache().is_empty(), "a panicked batch caches nothing");
+
+        // The collector goes on serving; the snippet is advised afresh.
+        let later = client.submit(GOOD).expect("server is running");
+        let next = client.submit(GOOD).expect("server is running");
+        assert_same_bits(&later.wait().expect("answered after the panic"), &direct);
+        assert_same_bits(&next.wait().expect("answered after the panic"), &direct);
+        let stats = server.stats();
+        assert_eq!((stats.requests, stats.cache_hits, stats.cache_misses), (4, 0, 4));
+        assert_eq!(server.shared.stats.panics.get(), 1);
+        let _ = server.shutdown();
     }
 }

@@ -194,6 +194,30 @@ fn shutdown_drains_in_flight_requests() {
     }
 }
 
+/// A cached snippet is answered on the submit path without queueing, yet
+/// a submit after shutdown still observes `Closed` for it.
+#[test]
+fn post_shutdown_submit_of_cached_snippet_is_closed() {
+    let advisor = Advisor::untrained(Scale::Tiny, 19);
+    let server = AdvisorServer::start(
+        advisor,
+        ServeConfig { deadline: Duration::from_millis(1), ..ServeConfig::default() },
+    );
+    let code = "for (i = 0; i < n; i++) a[i] = 2 * b[i];";
+    let client = server.client();
+    client.advise(code).expect("cold request answered");
+    client.advise(code).expect("warm request answered");
+    let stats = server.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1), "the snippet is cached: {stats:?}");
+    assert_eq!(stats.batches, 1, "the hit never reached the collector: {stats:?}");
+
+    let _ = server.shutdown();
+    match client.advise(code) {
+        Err(ServeError::Closed) => {}
+        other => panic!("post-shutdown submit of a cached snippet must be Closed, got {other:?}"),
+    }
+}
+
 /// Full loopback round-trip: NDJSON over TCP, multiple requests per
 /// connection, malformed lines answered without killing the connection,
 /// floats surviving the wire bit-for-bit.
@@ -312,6 +336,57 @@ fn tcp_pipelined_requests_answer_in_order() {
     assert!(responses[4].ok);
     // Identical snippets in one burst share one result.
     assert_eq!(responses[0].confidence.to_bits(), responses[4].confidence.to_bits());
+
+    drop(writer);
+    drop(reader);
+    tcp.shutdown();
+    let _ = server.shutdown();
+}
+
+/// Hostile input on one connection: a 10,000-deep `(` snippet gets an
+/// error line and the next request on the same connection is still
+/// advised with direct `advise`'s bits. The pair is sent twice, so the
+/// second deep snippet is answered from its cached parse error.
+#[test]
+fn tcp_deep_nesting_then_normal_request_both_answered() {
+    let mut advisor = Advisor::untrained(Scale::Tiny, 29);
+    let probe = "for (i = 0; i < n; i++) a[i] = b[i] * c;";
+    let direct = advisor.advise(probe).expect("probe parses");
+    let server = AdvisorServer::start(
+        advisor,
+        ServeConfig { deadline: Duration::from_millis(1), ..ServeConfig::default() },
+    );
+    let tcp = TcpServer::bind("127.0.0.1:0", server.client(), 2).expect("bind loopback");
+    let stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let deep = "(".repeat(10_000);
+    let pair = format!(
+        "{{\"id\": 1, \"code\": \"{deep}\"}}\n{{\"id\": 2, \"code\": \"{}\"}}\n",
+        pragformer_serve::wire::escape_json(probe)
+    );
+    for round in 0..2 {
+        writer.write_all(pair.as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let mut recv = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read response");
+            pragformer_serve::wire::parse_response(&line).expect("parse response")
+        };
+        let first = recv();
+        assert_eq!(first.id, 1, "round {round}");
+        assert!(!first.ok && first.error.is_some(), "round {round}: deep snippet must fail");
+        let second = recv();
+        assert_eq!(second.id, 2, "round {round}");
+        assert!(second.ok, "round {round}: {:?}", second.error);
+        assert_eq!(second.confidence.to_bits(), direct.confidence.to_bits());
+        assert_eq!(second.private_probability.to_bits(), direct.private_probability.to_bits());
+        assert_eq!(second.reduction_probability.to_bits(), direct.reduction_probability.to_bits());
+        assert_eq!(second.compar_agrees, direct.compar_agrees);
+        assert_eq!(second.suggestion, direct.suggestion.as_ref().map(|d| d.to_string()));
+    }
+    let stats = server.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2), "second pair is cached: {stats:?}");
 
     drop(writer);
     drop(reader);
