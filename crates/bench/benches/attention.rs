@@ -1,8 +1,9 @@
 //! Attention-block latency per kernel tier, on an isolated
 //! reproduction-scale attention block.
 //!
-//! Each arm runs eval-mode steady state: weight caches warm (pre-packed
-//! panels on the f32 tiers, int8 copies on the quantized tier) and the
+//! Each arm runs eval-mode steady state on one plan (`scalar`, `avx2`,
+//! `int8`): weight caches warm (pre-packed panels on the f32 plans,
+//! int8 copies on the int8 plan) and the
 //! scratch arena warm, so the arm measures the projection GEMMs, the
 //! masked score/context tiles and the merge — the unit the per-layer
 //! inference cost decomposes into. JSON records land in
@@ -13,11 +14,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pragformer_model::attention::MultiHeadSelfAttention;
 use pragformer_model::ModelConfig;
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::{self, KernelTier};
+use pragformer_tensor::kernel::InferencePlan;
 use pragformer_tensor::nn::WeightCache;
 use pragformer_tensor::Tensor;
-
-const TIERS: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Int8];
 
 fn bench_attention(c: &mut Criterion) {
     // The small profile's attention shape: one max_len sequence through
@@ -31,23 +30,20 @@ fn bench_attention(c: &mut Criterion) {
     let valid = vec![seq; batch];
 
     let mut group = c.benchmark_group("attention");
-    let prior = kernel::active_tier();
-    for tier in TIERS {
-        if kernel::set_tier(tier).is_err() {
-            eprintln!("(skipping attention twins for {}: unsupported on this CPU)", tier.name());
+    for name in ["scalar", "avx2", "int8"] {
+        let Ok(plan) = InferencePlan::parse(name) else {
+            eprintln!("(skipping attention twins for {name}: unsupported on this CPU)");
             continue;
-        }
-        // Steady-state caches for this arm: int8 copies under the
-        // quantized tier, pre-packed panels otherwise; one warm forward
-        // settles the scratch arena.
-        let cache = if tier == KernelTier::Int8 { WeightCache::Int8 } else { WeightCache::Packed };
-        attn.for_each_linear(&mut |lin| lin.set_weight_cache(cache));
+        };
+        // Steady-state caches for this arm: int8 copies on the int8
+        // plan, pre-packed panels otherwise; one warm forward settles
+        // the scratch arena.
+        attn.for_each_linear(&mut |lin| lin.set_weight_cache(WeightCache::Infer(plan)));
         let _ = attn.forward(&x, batch, seq, &valid, false);
-        group.bench_function(format!("forward_{}", tier.name()), |b| {
+        group.bench_function(format!("forward_{}", plan.tier().name()), |b| {
             b.iter(|| attn.forward(std::hint::black_box(&x), batch, seq, &valid, false))
         });
     }
-    kernel::set_tier(prior).expect("restore kernel tier");
     group.finish();
 }
 

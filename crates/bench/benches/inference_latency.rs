@@ -9,10 +9,8 @@ use pragformer_baselines::{analyze_snippet, BowModel, BowTrainConfig, Strictness
 use pragformer_core::{Advisor, Scale};
 use pragformer_model::{ModelConfig, PragFormer};
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::{self, KernelTier, Simd};
+use pragformer_tensor::kernel::{default_plan, InferencePlan};
 use pragformer_tokenize::{tokens_for, Representation, Vocab};
-
-const TIERS: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Avx2, KernelTier::Int8];
 
 const SNIPPET: &str =
     "for (i = 0; i < n; i++)\n  for (j = 0; j < n; j++)\n    x1[i] = x1[i] + A[i][j] * y_1[j];";
@@ -43,51 +41,37 @@ fn bench_inference(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // Per-tier twins: the same forward with the kernel tier pinned
-    // (`pragformer_forward` above keeps measuring the auto-detected
-    // tier). Benches are single-threaded, so flipping the global tier
-    // per arm is safe; unsupported tiers are skipped with a note.
-    let prior = kernel::active_tier();
-    for tier in TIERS {
-        if kernel::set_tier(tier).is_err() {
-            eprintln!("(skipping pragformer_forward_{}: unsupported on this CPU)", tier.name());
+    // Per-tier twins: the same forward with the model on each tier's
+    // plan (`pragformer_forward` above keeps measuring the default
+    // plan), then the int8 sub-simd twins: the quantized forward with
+    // the integer microkernel on AVX2 (`int8`) vs scalar
+    // (`int8-scalar`) — bitwise identical outputs, only the latency
+    // differs. One warm forward per arm moves the one-time weight
+    // packing or quantization out of the timing loop; plans this CPU
+    // cannot run are skipped with a note.
+    let arms = [
+        ("pragformer_forward_scalar", "scalar"),
+        ("pragformer_forward_avx2", "avx2"),
+        ("pragformer_forward_int8", "int8"),
+        ("pragformer_forward_int8_avx2", "int8"),
+        ("pragformer_forward_int8_scalar", "int8-scalar"),
+    ];
+    for (arm, name) in arms {
+        let Ok(plan) = InferencePlan::parse(name) else {
+            eprintln!("(skipping {arm}: plan {name} unsupported on this CPU)");
             continue;
-        }
-        group.bench_function(format!("pragformer_forward_{}", tier.name()), |b| {
+        };
+        model.set_plan(plan);
+        let _ = model.predict_proba(&ids, &[valid]);
+        group.bench_function(arm, |b| {
             b.iter_batched(
                 || (ids.clone(), vec![valid]),
                 |(ids, valid)| model.predict_proba(&ids, &valid),
                 BatchSize::SmallInput,
             )
         });
-        if tier == KernelTier::Int8 {
-            // Int8 sub-simd twins: the same quantized forward with the
-            // integer microkernel pinned to AVX2 vs scalar (bitwise
-            // identical outputs — only the latency differs). One warm
-            // forward per arm moves the one-time weight quantization
-            // out of the timing loop.
-            let prior_simd = kernel::int8_simd();
-            for simd in [Simd::Avx2, Simd::Scalar] {
-                if kernel::set_int8_simd(simd).is_err() {
-                    eprintln!(
-                        "(skipping pragformer_forward_int8_{}: unsupported on this CPU)",
-                        simd.name()
-                    );
-                    continue;
-                }
-                let _ = model.predict_proba(&ids, &[valid]);
-                group.bench_function(format!("pragformer_forward_int8_{}", simd.name()), |b| {
-                    b.iter_batched(
-                        || (ids.clone(), vec![valid]),
-                        |(ids, valid)| model.predict_proba(&ids, &valid),
-                        BatchSize::SmallInput,
-                    )
-                });
-            }
-            kernel::set_int8_simd(prior_simd).expect("restore int8 simd");
-        }
     }
-    kernel::set_tier(prior).expect("restore kernel tier");
+    model.set_plan(default_plan());
     group.bench_function("bow_predict", |b| {
         b.iter(|| bow.predict_proba(std::hint::black_box(&tokens)))
     });
@@ -159,25 +143,21 @@ fn bench_batched_throughput(c: &mut Criterion) {
     group.bench_function("advise_batch_shared_distinct/64", |b| {
         b.iter(|| shared.advise_batch(&distinct_refs))
     });
-    // Per-tier twins of the shared-trunk distinct batch-64 arm, kernel
-    // tier pinned per arm (single-threaded here, so the global flip is
-    // safe). The distinct set keeps all 64 forwards live — the repeated
-    // idiom set dedups to a handful of forwards, burying the kernel
-    // share under parse/tokenize time.
-    let prior = kernel::active_tier();
-    for tier in TIERS {
-        if kernel::set_tier(tier).is_err() {
-            eprintln!(
-                "(skipping advise_batch_shared_distinct_{}/64: unsupported on this CPU)",
-                tier.name()
-            );
+    // Per-tier twins of the shared-trunk distinct batch-64 arm, the
+    // advisor on each tier's plan. The distinct set keeps all 64
+    // forwards live — the repeated idiom set dedups to a handful of
+    // forwards, burying the kernel share under parse/tokenize time.
+    for name in ["scalar", "avx2", "int8"] {
+        let Ok(plan) = InferencePlan::parse(name) else {
+            eprintln!("(skipping advise_batch_shared_distinct_{name}/64: unsupported on this CPU)");
             continue;
-        }
-        group.bench_function(format!("advise_batch_shared_distinct_{}/64", tier.name()), |b| {
+        };
+        shared.set_plan(plan);
+        group.bench_function(format!("advise_batch_shared_distinct_{name}/64"), |b| {
             b.iter(|| shared.advise_batch(&distinct_refs))
         });
     }
-    kernel::set_tier(prior).expect("restore kernel tier");
+    shared.set_plan(default_plan());
     // The baselines the batch path is measured against: the same
     // snippets, one advise() call each.
     group.bench_function("advise_sequential_shared/64", |b| {

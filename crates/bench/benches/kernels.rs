@@ -9,6 +9,7 @@ use pragformer_tensor::nn::{Layer, LayerNorm};
 use pragformer_tensor::{kernel, ops, Tensor};
 
 fn bench_kernels(c: &mut Criterion) {
+    let simd = kernel::active_simd();
     let mut rng = SeededRng::new(5);
     let mut group = c.benchmark_group("kernels");
     for n in [64usize, 128, 256] {
@@ -17,13 +18,13 @@ fn bench_kernels(c: &mut Criterion) {
         let flops = 2 * n as u64 * n as u64 * n as u64;
         group.throughput(Throughput::Elements(flops));
         group.bench_with_input(BenchmarkId::new("matmul", n), &n, |bch, _| {
-            bch.iter(|| ops::matmul(std::hint::black_box(&a), std::hint::black_box(&b)))
+            bch.iter(|| ops::matmul(simd, std::hint::black_box(&a), std::hint::black_box(&b)))
         });
         group.bench_with_input(BenchmarkId::new("matmul_nt", n), &n, |bch, _| {
-            bch.iter(|| ops::matmul_nt(std::hint::black_box(&a), std::hint::black_box(&b)))
+            bch.iter(|| ops::matmul_nt(simd, std::hint::black_box(&a), std::hint::black_box(&b)))
         });
         group.bench_with_input(BenchmarkId::new("matmul_tn", n), &n, |bch, _| {
-            bch.iter(|| ops::matmul_tn(std::hint::black_box(&a), std::hint::black_box(&b)))
+            bch.iter(|| ops::matmul_tn(simd, std::hint::black_box(&a), std::hint::black_box(&b)))
         });
     }
     let x = Tensor::randn(&[512, 128], 1.0, &mut rng);
@@ -41,10 +42,10 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.finish();
 
-    // Per-tier GEMM arms: the same 128×128 product through each SIMD
-    // backend explicitly (`matmul_with` bypasses the global tier), plus
-    // the int8 path with B pre-quantized (the trunk's steady state —
-    // weights are quantized once, activations per call).
+    // Per-tier GEMM arms: the same 128×128 product on each instruction
+    // set this CPU has, plus the int8 path of the default plan's int8
+    // twin with B pre-quantized (the trunk's steady state — weights are
+    // quantized once, activations per call).
     let mut group = c.benchmark_group("kernel_tier");
     let n = 128usize;
     let a = Tensor::randn(&[n, n], 1.0, &mut rng);
@@ -52,12 +53,15 @@ fn bench_kernels(c: &mut Criterion) {
     group.throughput(Throughput::Elements(2 * (n as u64).pow(3)));
     for simd in kernel::available_simds() {
         group.bench_with_input(BenchmarkId::new("matmul", simd.name()), &n, |bch, _| {
-            bch.iter(|| ops::matmul_with(simd, std::hint::black_box(&a), std::hint::black_box(&b)))
+            bch.iter(|| ops::matmul(simd, std::hint::black_box(&a), std::hint::black_box(&b)))
         });
     }
     let qb = QuantizedMatrix::quantize(&b);
+    let int8 = kernel::default_plan().int8();
     group.bench_with_input(BenchmarkId::new("matmul", "int8"), &n, |bch, _| {
-        bch.iter(|| quantize::matmul_quant(std::hint::black_box(&a), std::hint::black_box(&qb)))
+        bch.iter(|| {
+            quantize::matmul_quant(int8, std::hint::black_box(&a), std::hint::black_box(&qb))
+        })
     });
     group.finish();
 }

@@ -8,8 +8,9 @@
 //! bytes ≤30% of f32). Single-seed gaps on the small clause splits are
 //! noisy, so the comparison trains under `--seeds` seeds (default 3:
 //! `--seed`, `+1`, `+2`) and reports per-seed gaps plus the mean. The
-//! f32/int8 switch is the model-local override ([`pragformer_core::advisor::Advisor::set_int8`]);
-//! the global kernel tier is never touched.
+//! f32/int8 switch is the advisor's plan
+//! ([`pragformer_core::advisor::Advisor::set_plan`]): the default plan's
+//! f32 twin against its int8 twin.
 
 use pragformer_bench::{emit, parse_args};
 use pragformer_core::experiments::run_int8_parity;

@@ -43,7 +43,7 @@ use pragformer_model::multitask::{self, MultiTaskConfig, MultiTaskExample, Task}
 use pragformer_model::PragFormer;
 use pragformer_obs as obs;
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::KernelTier;
+use pragformer_tensor::kernel::{InferencePlan, KernelTier};
 use pragformer_tensor::parallel::par_map_indexed;
 use pragformer_tokenize::{tokens_for, Representation, Vocab};
 use std::sync::{Arc, OnceLock};
@@ -122,7 +122,7 @@ impl PreparedSnippet {
     }
 }
 
-/// Cached observability handles for one kernel tier: the four
+/// Cached observability handles for one plan tier: the four
 /// per-stage span histograms
 /// (`pragformer_span_seconds{span="advise.*", tier}`) plus the snippet
 /// counters. The registry is consulted once per tier (a lock plus
@@ -144,12 +144,7 @@ impl StageObs {
             return None;
         }
         static CELLS: [OnceLock<StageObs>; 3] = [const { OnceLock::new() }; 3];
-        let t = match tier {
-            KernelTier::Scalar => 0,
-            KernelTier::Avx2 => 1,
-            KernelTier::Int8 => 2,
-        };
-        Some(CELLS[t].get_or_init(|| {
+        Some(CELLS[tier as usize].get_or_init(|| {
             let labels = [("tier", tier.name())];
             StageObs {
                 prepare: obs::span_histogram("advise.prepare", &labels),
@@ -173,6 +168,11 @@ impl StageObs {
 
 /// A trained advisor: a vocabulary and one three-head [`PragFormer`]
 /// whose head `i` serves the task with [`Task::index`] `i`.
+///
+/// The advisor's model owns its [`InferencePlan`]: the process's
+/// default plan until [`Advisor::set_plan`]. Every advise forward runs
+/// on it and its stage spans carry its tier, so advisors on different
+/// plans can serve side by side in one process.
 pub struct Advisor {
     vocab: Vocab,
     model: PragFormer,
@@ -270,7 +270,7 @@ impl Advisor {
     fn with_model(vocab: Vocab, model: PragFormer) -> Advisor {
         let max_len = model.config().max_len;
         let mut advisor = Advisor { vocab, model, max_len };
-        advisor.prepack_for_inference();
+        advisor.model.prepack_for_inference();
         advisor
     }
 
@@ -280,35 +280,27 @@ impl Advisor {
         Advisor::train(&db, scale, seed)
     }
 
-    /// The process-wide kernel tier the advisor's GEMMs dispatch on
-    /// (reported by serve/CLI startup lines and experiment logs).
-    pub fn kernel_tier(&self) -> KernelTier {
-        pragformer_tensor::kernel::active_tier()
+    /// The plan the advisor's forwards run on (its tier labels the
+    /// `advise.*` spans).
+    pub fn plan(&self) -> InferencePlan {
+        self.model.plan()
     }
 
-    /// Advisor-local int8 override of the trunk: `Some(true)` runs
-    /// quantized trunk inference, `Some(false)` forces f32, `None`
-    /// follows the process kernel tier. Model-local, so parity harnesses
-    /// can compare both paths without flipping the global tier under
-    /// other threads.
-    pub fn set_int8(&mut self, force: Option<bool>) {
-        self.model.set_int8_override(force);
+    /// Runs every later advise forward on `plan` and builds its weight
+    /// copies now (packed f32 panels, or int8 copies on an int8 plan),
+    /// so the next request pays no one-time pack or quantize cost — as
+    /// construction does for the default plan. Touches no other advisor.
+    pub fn set_plan(&mut self, plan: InferencePlan) {
+        self.model.set_plan(plan);
+        self.model.prepack_for_inference();
     }
 
     /// Bytes retained by the trunk's attention backward caches. The
     /// advise path runs eval-mode (cache-free) forwards only, so this is
-    /// always zero for a serving advisor — the invariant the
-    /// `profile_advise` example asserts in steady state.
+    /// always zero for a serving advisor — the invariant the `profile`
+    /// example asserts in steady state.
     pub fn retained_attention_bytes(&self) -> usize {
         self.model.retained_attention_bytes()
-    }
-
-    /// Eagerly builds the inference weight caches the model would build
-    /// on its first eval forward (packed f32 panels, or int8 copies under
-    /// that tier), so the first advise request pays no one-time pack
-    /// cost. Construction calls this; it is idempotent.
-    pub fn prepack_for_inference(&mut self) {
-        self.model.prepack_for_inference();
     }
 
     /// Static f32-vs-int8 weight accounting of the trunk:
@@ -391,7 +383,7 @@ impl Advisor {
 
         // Phase 4 — assemble per-input advice in input order (duplicates
         // share their unique slot's front-end + model results).
-        let stage = StageObs::get(self.kernel_tier());
+        let stage = StageObs::get(self.plan().tier());
         let t_post = stage.map(|_| Instant::now());
         let out: Vec<Result<Advice, ParseError>> = slots
             .into_iter()
@@ -437,7 +429,7 @@ impl Advisor {
     /// `pragformer_span_seconds{span="advise.prepare"}` and advances the
     /// snippet/parse-error counters.
     pub fn prepare_batch(&self, sources: &[&str]) -> Vec<Result<PreparedSnippet, ParseError>> {
-        let stage = StageObs::get(self.kernel_tier());
+        let stage = StageObs::get(self.plan().tier());
         let start = stage.map(|_| Instant::now());
         let out = par_map_indexed(sources.len(), 4, |u| self.prepare(sources[u]));
         if let (Some(s), Some(t0)) = (stage, start) {
@@ -460,7 +452,7 @@ impl Advisor {
     /// row-determinism contract of `pragformer_tensor::ops` — which is
     /// what lets a serving layer cache these values across requests.
     pub fn head_probs_batch(&mut self, snippets: &[&PreparedSnippet]) -> Vec<HeadProbs> {
-        let stage = StageObs::get(self.kernel_tier());
+        let stage = StageObs::get(self.plan().tier());
         let max_len = self.max_len;
         // Bucket by padded length. The bucketing/dedup sections across
         // all buckets accumulate into one `advise.bucket` observation and
@@ -622,6 +614,7 @@ impl Advisor {
 mod tests {
     use super::*;
     use pragformer_baselines::analyze_snippet;
+    use pragformer_tensor::kernel::default_plan;
     use std::sync::{Mutex, OnceLock};
 
     /// Training even the tiny advisor costs tens of seconds; every test
@@ -797,17 +790,18 @@ mod tests {
     fn int8_advice_is_shape_identical_and_batch_invariant() {
         // The int8 trunk must change only probability *values*: parse
         // errors, advice shape and the batched == sequential bitwise
-        // contract all hold exactly as in f32. Model-local override —
-        // the global tier is never touched.
+        // contract all hold exactly as in f32. Model-local plans — no
+        // other advisor is touched.
+        let _guard = shared().lock().unwrap(); // registers int8 series; see above
         let mut advisor = Advisor::untrained(Scale::Tiny, 9);
         let snippets: Vec<&str> = vec![
             "for (i = 0; i < n; i++) a[i] = b[i] + c[i];",
             "for (i = 0; i < ; i++ {", // parse error mid-batch
             "s = 0.0;\nfor (i = 0; i < n; i++) s += a[i] * b[i];",
         ];
-        advisor.set_int8(Some(false));
+        advisor.set_plan(default_plan().float());
         let f32_out = advisor.advise_batch(&snippets);
-        advisor.set_int8(Some(true));
+        advisor.set_plan(default_plan().int8());
         let int8_out = advisor.advise_batch(&snippets);
         for (i, (a, b)) in f32_out.iter().zip(&int8_out).enumerate() {
             match (a, b) {
@@ -828,13 +822,107 @@ mod tests {
         assert!(int8_bytes < f32_bytes, "int8 accounting must shrink the trunk");
     }
 
+    /// Every advice bit of a batch: parse errors by message, advice by
+    /// its probabilities' bit patterns, verdicts and suggestion.
+    fn advice_bits(out: &[Result<Advice, ParseError>]) -> Vec<Result<String, String>> {
+        out.iter()
+            .map(|r| match r {
+                Ok(a) => Ok(format!(
+                    "{} {:08x} {:08x} {:08x} {:?} {:?}",
+                    a.needs_directive,
+                    a.confidence.to_bits(),
+                    a.private_probability.to_bits(),
+                    a.reduction_probability.to_bits(),
+                    a.compar_agrees,
+                    a.suggestion.as_ref().map(|d| d.to_string()),
+                )),
+                Err(e) => Err(e.to_string()),
+            })
+            .collect()
+    }
+
+    const PLAN_SNIPPETS: [&str; 4] = [
+        "for (i = 0; i < n; i++) a[i] = b[i] + c[i];",
+        "s = 0.0;\nfor (i = 0; i < n; i++) s += a[i] * b[i];",
+        "for (i = 0; i < ; i++ {", // parse error mid-batch
+        "for (i = 0; i < n; i++)\n  for (j = 0; j < n; j++)\n    x[i] = x[i] + A[i][j] * y[j];",
+    ];
+
+    fn advisor_on(plan: Option<InferencePlan>) -> Advisor {
+        let mut advisor = Advisor::untrained(Scale::Tiny, 13);
+        if let Some(plan) = plan {
+            advisor.set_plan(plan);
+        }
+        advisor
+    }
+
+    #[test]
+    fn advisors_on_different_plans_run_concurrently_with_their_solo_bits() {
+        // Int8 advisors register `tier="int8"` series: serialize with the
+        // test that switches the registry off.
+        let _guard = shared().lock().unwrap();
+        let (f32_plan, int8_plan) = (default_plan().float(), default_plan().int8());
+        let mut plain = advisor_on(None);
+        assert_eq!(plain.plan(), default_plan());
+        let untouched = advice_bits(&plain.advise_batch(&PLAN_SNIPPETS));
+        let solo_f32 = advice_bits(&advisor_on(Some(f32_plan)).advise_batch(&PLAN_SNIPPETS));
+        let solo_int8 = advice_bits(&advisor_on(Some(int8_plan)).advise_batch(&PLAN_SNIPPETS));
+        assert_ne!(solo_f32, solo_int8, "the int8 plan should perturb some bits");
+        let on_default = if default_plan().is_int8() { &solo_int8 } else { &solo_f32 };
+        assert_eq!(on_default, &untouched, "the default-plan advisor changed bits");
+        let (mut a, mut b) = (advisor_on(Some(f32_plan)), advisor_on(Some(int8_plan)));
+        let start = std::sync::Barrier::new(2);
+        let runs = |advisor: &mut Advisor| {
+            start.wait();
+            (0..4).map(|_| advisor.advise_batch(&PLAN_SNIPPETS)).collect::<Vec<_>>()
+        };
+        let (runs_a, runs_b) = std::thread::scope(|s| {
+            let ta = s.spawn(|| runs(&mut a));
+            let tb = s.spawn(|| runs(&mut b));
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        for (ra, rb) in runs_a.iter().zip(&runs_b) {
+            assert_eq!(advice_bits(ra), solo_f32, "{} advisor drifted", f32_plan.name());
+            assert_eq!(advice_bits(rb), solo_int8, "{} advisor drifted", int8_plan.name());
+        }
+    }
+
+    #[test]
+    fn int8_and_int8_scalar_plans_give_identical_advice() {
+        let Ok(int8) = InferencePlan::parse("int8") else {
+            return; // no AVX2: int8-scalar is the only int8 plan
+        };
+        let int8_scalar = InferencePlan::parse("int8-scalar").unwrap();
+        let _guard = shared().lock().unwrap(); // registers int8 series; see above
+        let mut a = advisor_on(Some(int8));
+        let mut b = advisor_on(Some(int8_scalar));
+        assert_eq!(
+            advice_bits(&a.advise_batch(&PLAN_SNIPPETS)),
+            advice_bits(&b.advise_batch(&PLAN_SNIPPETS))
+        );
+    }
+
+    #[test]
+    fn spans_carry_the_advisors_own_plan_tier() {
+        if !obs::enabled() {
+            return; // PRAGFORMER_OBS=off in the environment
+        }
+        // Serialize with the test that switches the registry off.
+        let _guard = shared().lock().unwrap();
+        let mut advisor = advisor_on(Some(default_plan().int8()));
+        let forward = obs::span_histogram("advise.forward", &[("tier", "int8")]);
+        let before = forward.count();
+        advisor.advise_batch(&PLAN_SNIPPETS[..1]).pop().unwrap().unwrap();
+        assert!(forward.count() > before, "an int8-plan forward must record tier=\"int8\"");
+    }
+
     #[test]
     fn advise_stages_land_in_the_span_registry() {
         if !obs::enabled() {
             return; // PRAGFORMER_OBS=off in the environment
         }
         let mut advisor = shared().lock().unwrap();
-        let labels = [("tier", advisor.kernel_tier().name())];
+        let labels = [("tier", advisor.plan().tier().name())];
         let stages: Vec<Arc<obs::Histogram>> =
             ["advise.prepare", "advise.bucket", "advise.forward", "advise.post"]
                 .iter()

@@ -9,6 +9,7 @@ use pragformer_eval::metrics::{confusion, BinaryMetrics, Confusion};
 use pragformer_model::trainer::{EncodedExample, Trainer};
 use pragformer_model::{EpochMetrics, PragFormer, Task};
 use pragformer_tensor::init::SeededRng;
+use pragformer_tensor::kernel::default_plan;
 use pragformer_tokenize::Representation;
 
 /// One system's evaluation on a test split.
@@ -433,9 +434,9 @@ impl Int8Parity {
 }
 
 /// Trains one shared-trunk advisor and scores each head's held-out test
-/// split twice through the full advise pipeline — with the f32 trunk and
-/// with the int8 trunk — using the model-local override
-/// ([`Advisor::set_int8`]) so the global kernel tier is never disturbed.
+/// split twice through the full advise pipeline, on two plans
+/// ([`Advisor::set_plan`]): the default plan's f32 twin and its int8
+/// twin.
 ///
 /// This is the accuracy gate for [`pragformer_tensor::kernel::KernelTier::Int8`]:
 /// the tier is acceptable when the per-head macro-F1 gap stays within a
@@ -448,15 +449,19 @@ pub fn run_int8_parity(db: &Database, scale: Scale, seed: u64) -> Int8Parity {
     // out by construction (see `run_backend_parity`).
     let (directive_ds, private_ds, reduction_ds) = training_datasets(db, seed);
     let test_splits = [directive_ds, private_ds, reduction_ds];
+    let default = default_plan();
     let heads = Task::ALL.map(|task| {
         let held_out = HeldOut::new(&advisor, db, &test_splits[task.index()].split.test);
-        let mut score = |int8: bool| {
-            advisor.set_int8(Some(int8));
+        let mut score = |plan| {
+            advisor.set_plan(plan);
             held_out.confusion(&held_out.advisor_probs(&mut advisor, task))
         };
-        Int8HeadParity { head: task.name(), f32: score(false), int8: score(true) }
+        Int8HeadParity {
+            head: task.name(),
+            f32: score(default.float()),
+            int8: score(default.int8()),
+        }
     });
-    advisor.set_int8(None);
     Int8Parity { heads, trunk_f32_bytes, trunk_int8_bytes }
 }
 

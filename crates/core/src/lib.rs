@@ -31,5 +31,5 @@ pub mod scale;
 
 pub use advisor::{Advice, Advisor, HeadProbs, PreparedSnippet};
 pub use encode::{encode_dataset, EncodedDataset};
-pub use pragformer_tensor::kernel::KernelTier;
+pub use pragformer_tensor::kernel::{InferencePlan, KernelTier};
 pub use scale::Scale;

@@ -14,12 +14,12 @@
 //! 1. **Projection.** Q, K and V come from three `[batch·seq ×
 //!    d_model]` GEMMs through the `wq`/`wk`/`wv` [`Linear`] layers,
 //!    regardless of batch size, which is where batching pays. Each
-//!    layer runs on whatever weight copy its model chose
+//!    layer runs on the value its model handed it
 //!    ([`pragformer_tensor::nn::WeightCache`]): plain f32 in training,
-//!    pre-packed panels for f32 inference (bitwise the plain GEMM), or
-//!    int8 copies on the quantized tier — there `x` is quantized
-//!    **once** and shared by all three GEMMs (the quantize-once reuse
-//!    pinned by the tensor crate's `int8_kernel_proptests`).
+//!    pre-packed panels under an f32 plan (bitwise the plain GEMM), or
+//!    int8 copies under an int8 plan — there `x` is quantized **once**
+//!    and shared by all three GEMMs (the quantize-once reuse pinned by
+//!    the tensor crate's `int8_kernel_proptests`).
 //! 2. **Score/context tiles.** The per-`(batch, head)` `[seq, seq]`
 //!    score and `[seq, d_head]` context tiles are inherently
 //!    block-diagonal, so they are dispatched across the persistent
@@ -29,6 +29,9 @@
 //!    offset `h·d_head`, ride [`scratch`] capacity, and go back to the
 //!    arena as soon as they are consumed. Scores are scaled by
 //!    `1/√d_head`, then masked-softmaxed ([`ops::softmax_rows_uniform`]).
+//!    The tiles run on the float instruction set of the projections'
+//!    value ([`WeightCache::plan`]): the model's plan in an eval
+//!    forward, the default plan in training.
 //! 3. **Merge.** Context tiles scatter-add into an **arena-backed**
 //!    `[batch·seq, d_model]` output in a fixed serial order, so results
 //!    stay bitwise deterministic for any batch size and worker split.
@@ -48,8 +51,9 @@
 
 use pragformer_obs as obs;
 use pragformer_tensor::init::SeededRng;
+use pragformer_tensor::kernel;
 use pragformer_tensor::kernel::quantize::QuantizedActivations;
-use pragformer_tensor::nn::{Layer, Linear, Param};
+use pragformer_tensor::nn::{Layer, Linear, Param, WeightCache};
 use pragformer_tensor::ops;
 use pragformer_tensor::parallel::par_map_indexed;
 use pragformer_tensor::{scratch, Tensor};
@@ -177,9 +181,9 @@ impl MultiHeadSelfAttention {
     /// Forward pass fused with the residual connection: returns
     /// `x + MHSA(x)`.
     ///
-    /// On the int8 tier the output projection runs the fused
+    /// On an int8 plan the output projection runs the fused
     /// dequantize+bias+residual epilogue, so the residual add costs no
-    /// extra pass over the activations. On the f32 tiers this is exactly
+    /// extra pass over the activations. On the f32 plans this is exactly
     /// `x.add(&self.forward(..))` — the same bits as the unfused form.
     pub fn forward_residual(
         &mut self,
@@ -190,8 +194,9 @@ impl MultiHeadSelfAttention {
         train: bool,
     ) -> Tensor {
         let context = self.context_from(x, batch, seq, valid, train);
-        let out = if self.wo.is_quantized() {
-            let qc = QuantizedActivations::quantize(&context);
+        let cache = self.wo.weight_cache();
+        let out = if cache.is_int8() {
+            let qc = QuantizedActivations::quantize(cache.plan().int8_simd(), &context);
             let out = self.wo.forward_quant_residual(&qc, x);
             qc.recycle();
             out
@@ -203,11 +208,10 @@ impl MultiHeadSelfAttention {
     }
 
     /// Runs the projection stage: three GEMMs, with `x` quantized
-    /// **once** for all three when the projection weights hold int8
-    /// copies.
-    fn project(&mut self, x: &Tensor, train: bool) -> (Tensor, Tensor, Tensor) {
-        if self.wq.is_quantized() {
-            let qx = QuantizedActivations::quantize(x);
+    /// **once** for all three under an int8 plan.
+    fn project(&mut self, cache: WeightCache, x: &Tensor, train: bool) -> (Tensor, Tensor, Tensor) {
+        if cache.is_int8() {
+            let qx = QuantizedActivations::quantize(cache.plan().int8_simd(), x);
             let qkv = (
                 self.wq.forward_quant(&qx),
                 self.wk.forward_quant(&qx),
@@ -236,7 +240,9 @@ impl MultiHeadSelfAttention {
         assert_eq!(x.rows(), batch * seq, "activation rows");
         assert_eq!(valid.len(), batch, "valid lengths");
         let d = self.d_model;
-        let (q, k, v) = self.project(x, train);
+        let cache = self.wq.weight_cache();
+        let simd = cache.plan().simd();
+        let (q, k, v) = self.project(cache, x, train);
         let dh = d / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut context =
@@ -254,10 +260,10 @@ impl MultiHeadSelfAttention {
             // The per-call K/V tiles are too transient to pre-pack:
             // matmul_unpacked runs the simple kernel (bitwise identical
             // to the packed path) with zero pack builds per call.
-            let mut scores = ops::matmul_unpacked(&qt, &ktt);
+            let mut scores = ops::matmul_unpacked(simd, &qt, &ktt);
             scores.map_in_place(|s| s * scale);
-            ops::softmax_rows_uniform(&mut scores, vb);
-            let ctx = ops::matmul_unpacked(&scores, &vt);
+            ops::softmax_rows_uniform(simd, &mut scores, vb);
+            let ctx = ops::matmul_unpacked(simd, &scores, &vt);
             scratch::give(qt.into_data());
             scratch::give(ktt.into_data());
             scratch::give(vt.into_data());
@@ -298,6 +304,7 @@ impl MultiHeadSelfAttention {
         let Cache { batch, seq, q, k, v, probs } = cache;
         let dh = self.d_model / self.n_heads;
         let scale = 1.0 / (dh as f32).sqrt();
+        let simd = kernel::active_simd();
         let dcontext = self.wo.backward(dy);
         let mut dq = Tensor::zeros(&[batch * seq, self.d_model]);
         let mut dk = Tensor::zeros(&[batch * seq, self.d_model]);
@@ -312,15 +319,15 @@ impl MultiHeadSelfAttention {
             let kt = self.head_tile(&k, b, h * dh, seq);
             let vtt = self.head_tile_t(&v, b, h * dh, seq);
             // dV = Pᵀ · dCtx
-            let dvt = ops::matmul_tn(p, &dctx);
+            let dvt = ops::matmul_tn(simd, p, &dctx);
             // dP = dCtx · Vᵀ
-            let dp = ops::matmul(&dctx, &vtt);
+            let dp = ops::matmul(simd, &dctx, &vtt);
             // dS = softmax'(P, dP) (masked cols have P = 0 ⇒ dS = 0)
             let mut ds = ops::softmax_backward(p, &dp);
             ds.map_in_place(|s| s * scale);
             // dQ = dS · K ; dK = dSᵀ · Q
-            let dqt = ops::matmul(&ds, &kt);
-            let dkt = ops::matmul_tn(&ds, &qt);
+            let dqt = ops::matmul(simd, &ds, &kt);
+            let dkt = ops::matmul_tn(simd, &ds, &qt);
             (dqt, dkt, dvt)
         });
         for (bh, (dqt, dkt, dvt)) in tiles.into_iter().enumerate() {
@@ -361,7 +368,7 @@ impl MultiHeadSelfAttention {
 
     /// Bytes currently retained by this block's backward cache
     /// (projected Q/K/V plus every probability tile). Exactly zero after
-    /// an inference forward — the invariant `profile_advise` asserts in
+    /// an inference forward — the invariant `examples/profile.rs` asserts in
     /// steady state.
     pub fn retained_cache_bytes(&self) -> usize {
         self.cache.as_ref().map_or(0, |c| {
@@ -374,7 +381,6 @@ impl MultiHeadSelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pragformer_tensor::nn::WeightCache;
 
     fn rng() -> SeededRng {
         SeededRng::new(12)
@@ -421,7 +427,9 @@ mod tests {
             let valid: Vec<usize> = (0..batch).map(|b| seq - 2 * b).collect();
             let y_train = attn.forward(&x, batch, seq, &valid, true);
             assert!(attn.last_probs().is_some(), "train forward must retain probs");
-            attn.for_each_linear(&mut |lin| lin.set_weight_cache(WeightCache::Packed));
+            attn.for_each_linear(&mut |lin| {
+                lin.set_weight_cache(WeightCache::Infer(kernel::default_plan().float()))
+            });
             let y_infer = attn.forward(&x, batch, seq, &valid, false);
             assert_eq!(y_train, y_infer, "mode must not change bits (d={d_model})");
             // An inference forward retains nothing, not even the

@@ -39,13 +39,14 @@ impl EncoderBlock {
 
     /// Forward over `[batch*seq, d_model]` activations.
     ///
-    /// On the int8 tier the whole block runs fused: the attention output
+    /// On an int8 plan the whole block runs fused: the attention output
     /// projection folds its residual add into the dequantize epilogue,
     /// `ff1` fuses bias+GELU, and `ff2` fuses bias+residual — each
     /// activation matrix is quantized exactly once for all its GEMM
     /// consumers and the scratch-backed quantized buffers recycle
-    /// immediately. The f32 tiers keep the original unfused sequence
-    /// bit for bit.
+    /// immediately. The f32 plans keep the original unfused sequence
+    /// bit for bit. The GELU runs on the float instruction set of the
+    /// FFN's value ([`WeightCache::plan`]).
     ///
     /// `train` picks the attention/layer mode: a train forward stores
     /// every backward cache, an inference forward stores none (see the
@@ -60,18 +61,22 @@ impl EncoderBlock {
     ) -> Tensor {
         let res1 = self.attn.forward_residual(x, batch, seq, valid, train);
         let h = self.ln1.forward(&res1, train);
-        if self.ff1.is_quantized() {
-            let qh = QuantizedActivations::quantize(&h);
+        let cache = self.ff1.weight_cache();
+        if cache.is_int8() {
+            let int8_simd = cache.plan().int8_simd();
+            let qh = QuantizedActivations::quantize(int8_simd, &h);
             let mid = self.ff1.forward_quant_gelu(&qh);
             qh.recycle();
-            let qmid = QuantizedActivations::quantize(&mid);
+            let qmid = QuantizedActivations::quantize(int8_simd, &mid);
             pragformer_tensor::scratch::give(mid.into_data());
             let res2 = self.ff2.forward_quant_residual(&qmid, &h);
             qmid.recycle();
             self.ln2.forward(&res2, train)
         } else {
-            let ff =
-                self.ff2.forward(&self.act.forward(&self.ff1.forward(&h, train), train), train);
+            let simd = cache.plan().simd();
+            let ff = self
+                .ff2
+                .forward(&self.act.forward_on(simd, &self.ff1.forward(&h, train), train), train);
             self.ln2.forward(&h.add(&ff), train)
         }
     }

@@ -21,7 +21,7 @@ use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::quantize::{
     QuantizedActivations, QuantizedEmbedding, QuantizedMatrix,
 };
-use pragformer_tensor::kernel::{active_tier, KernelTier};
+use pragformer_tensor::kernel::{default_plan, InferencePlan};
 use pragformer_tensor::nn::{
     Activation, ActivationKind, Dropout, Layer, Linear, Param, WeightCache,
 };
@@ -35,15 +35,16 @@ use pragformer_tensor::Tensor;
 /// `backward_cls` scatters CLS gradients back and completes the encoder
 /// backward pass. One trunk forward feeds any number of
 /// [`ClassifierHead`]s.
+///
+/// The trunk owns its [`InferencePlan`] (the process's
+/// [`default_plan`] until [`set_plan`](Self::set_plan)): every eval
+/// forward runs on it, so two models in one process can run different
+/// plans at once. Training always runs on the default plan's float
+/// kernels.
 pub struct Trunk {
     encoder: Encoder,
     cache: Option<(usize, usize)>,
-    /// Per-model override of the int8 decision: `Some(true)` forces the
-    /// quantized trunk, `Some(false)` forces f32, `None` follows the
-    /// process-wide kernel tier. Model-local so parity harnesses can
-    /// compare both paths without flipping the global tier under
-    /// concurrently running models.
-    int8_override: Option<bool>,
+    plan: InferencePlan,
 }
 
 impl Trunk {
@@ -55,33 +56,29 @@ impl Trunk {
     /// Wraps an already-built encoder (e.g. one restored from MLM
     /// pre-training).
     pub fn from_encoder(encoder: Encoder) -> Self {
-        Self { encoder, cache: None, int8_override: None }
+        Self { encoder, cache: None, plan: default_plan() }
     }
 
-    /// Sets the model-local int8 override (see the field docs). Takes
-    /// effect on the next eval forward.
-    pub fn set_int8_override(&mut self, force: Option<bool>) {
-        self.int8_override = force;
+    /// Sets the plan every later eval forward runs on.
+    pub fn set_plan(&mut self, plan: InferencePlan) {
+        self.plan = plan;
     }
 
-    /// The current model-local int8 override.
-    pub fn int8_override(&self) -> Option<bool> {
-        self.int8_override
+    /// The plan eval forwards run on.
+    pub fn plan(&self) -> InferencePlan {
+        self.plan
     }
 
-    /// The weight copies a forward in this mode runs on: none while
-    /// training (backward refuses to run over inference caches), int8
-    /// copies for eval under the int8 tier — or the model-local
-    /// override — and pre-packed f32 panels for every other eval
-    /// forward. Heads take the same value
-    /// ([`ClassifierHead::set_weight_cache`]).
+    /// What a forward in this mode runs on: no weight copy and the
+    /// default plan while training (backward refuses to run over
+    /// inference caches), the trunk's plan for eval — int8 copies on an
+    /// int8 plan, pre-packed f32 panels otherwise. Heads take the same
+    /// value ([`ClassifierHead::set_weight_cache`]).
     pub fn weight_cache(&self, train: bool) -> WeightCache {
         if train {
             WeightCache::None
-        } else if self.int8_override.unwrap_or_else(|| active_tier() == KernelTier::Int8) {
-            WeightCache::Int8
         } else {
-            WeightCache::Packed
+            WeightCache::Infer(self.plan)
         }
     }
 
@@ -98,7 +95,7 @@ impl Trunk {
                 "model.trunk",
                 "trunk inference caches built",
                 &[
-                    ("path", if cache == WeightCache::Int8 { "int8" } else { "f32" }),
+                    ("path", if cache.is_int8() { "int8" } else { "f32" }),
                     ("f32_bytes", &wb.f32_bytes.to_string()),
                     ("int8_bytes", &wb.int8_bytes.to_string()),
                     ("quant_scratch_bytes", &wb.quant_scratch_bytes.to_string()),
@@ -329,11 +326,14 @@ impl ClassifierHead {
         f(&mut self.fc2);
     }
 
-    /// Makes both dense layers hold the weight copy for `cache`. Heads
-    /// always run f32 — the int8 tier quantizes only the trunk — so
-    /// [`WeightCache::Int8`] packs them like [`WeightCache::Packed`].
+    /// Makes both dense layers run on `cache`. Heads always run f32 —
+    /// an int8 plan quantizes only the trunk — so under an int8 plan
+    /// they run packed on its [`float`](InferencePlan::float) twin.
     pub fn set_weight_cache(&mut self, cache: WeightCache) {
-        let cache = if cache == WeightCache::None { cache } else { WeightCache::Packed };
+        let cache = match cache {
+            WeightCache::None => cache,
+            WeightCache::Infer(plan) => WeightCache::Infer(plan.float()),
+        };
         self.for_each_linear(&mut |lin| lin.set_weight_cache(cache));
     }
 }
@@ -386,32 +386,32 @@ mod tests {
     }
 
     #[test]
-    fn int8_override_quantizes_eval_and_training_restores_f32() {
+    fn int8_plan_quantizes_eval_and_training_restores_f32() {
         let cfg = ModelConfig::tiny(12);
         let mut rng = SeededRng::new(6);
         let mut trunk = Trunk::new(&cfg, &mut rng);
         let ids: Vec<usize> = (0..2 * cfg.max_len).map(|i| i % 12).collect();
         let valid = [7usize, 9];
         // Pin the f32 baseline model-locally so the test holds even when
-        // the process-wide tier is forced to int8 (CI's int8 sweep).
-        trunk.set_int8_override(Some(false));
+        // the default plan is int8 (CI's int8 sweep).
+        trunk.set_plan(default_plan().float());
         let f32_cls = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
         trunk.clear_cache();
         assert!(!trunk.encoder().int8_active());
-        trunk.set_int8_override(Some(true));
+        trunk.set_plan(default_plan().int8());
         let q_cls = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
         trunk.clear_cache();
-        assert!(trunk.encoder().int8_active(), "override must build int8 caches");
+        assert!(trunk.encoder().int8_active(), "an int8 plan must build int8 caches");
         assert_ne!(f32_cls, q_cls, "quantization should perturb some bits");
         for (a, b) in f32_cls.data().iter().zip(q_cls.data()) {
             assert!((a - b).abs() < 0.35, "int8 CLS {b} too far from f32 {a}");
         }
         // A training forward must tear the int8 caches down even while
-        // the override is still set.
+        // the plan is still int8.
         let _ = trunk.forward_cls(&ids, &valid, cfg.max_len, true);
         trunk.clear_cache();
         assert!(!trunk.encoder().int8_active(), "train forward left int8 caches up");
-        trunk.set_int8_override(Some(false));
+        trunk.set_plan(default_plan().float());
         let back = trunk.forward_cls(&ids, &valid, cfg.max_len, false);
         trunk.clear_cache();
         assert_eq!(back, f32_cls, "f32 path must restore bitwise");
@@ -423,17 +423,17 @@ mod tests {
         let mut rng = SeededRng::new(9);
         let mut trunk = Trunk::new(&cfg, &mut rng);
         // Start pinned to f32 so eager packing is what's under test even
-        // when the process-wide tier is forced to int8 (CI's int8 sweep).
-        trunk.set_int8_override(Some(false));
+        // when the default plan is int8 (CI's int8 sweep).
+        trunk.set_plan(default_plan().float());
         assert!(!trunk.encoder().packed_active());
         trunk.prepack_for_inference();
         assert!(trunk.encoder().packed_active(), "eager packing did nothing");
-        // With the int8 override set, eager packing builds the quantized
-        // caches instead of f32 panels.
-        trunk.set_int8_override(Some(true));
-        assert_eq!(trunk.weight_cache(false), WeightCache::Int8);
+        // On an int8 plan, eager packing builds the quantized caches
+        // instead of f32 panels.
+        trunk.set_plan(default_plan().int8());
+        assert!(trunk.weight_cache(false).is_int8());
         trunk.prepack_for_inference();
-        assert!(trunk.encoder().int8_active(), "int8 override must quantize eagerly");
+        assert!(trunk.encoder().int8_active(), "an int8 plan must quantize eagerly");
         assert!(!trunk.encoder().packed_active(), "int8 caches must replace the f32 panels");
         // A training forward tears every cache down.
         let ids: Vec<usize> = (0..cfg.max_len).map(|i| i % 12).collect();
@@ -447,7 +447,7 @@ mod tests {
         let cfg = ModelConfig::tiny(12);
         let mut rng = SeededRng::new(7);
         let mut trunk = Trunk::new(&cfg, &mut rng);
-        trunk.set_int8_override(Some(true));
+        trunk.set_plan(default_plan().int8());
         let ids: Vec<usize> = (0..3 * cfg.max_len).map(|i| (i * 3 + 1) % 12).collect();
         let valid = [5usize, 8, 11];
         let batched = trunk.forward_cls(&ids, &valid, cfg.max_len, false);

@@ -17,6 +17,7 @@ use crate::encoder::Encoder;
 use crate::head::{ClassifierHead, Trunk};
 use crate::multitask::Task;
 use pragformer_tensor::init::SeededRng;
+use pragformer_tensor::kernel::InferencePlan;
 use pragformer_tensor::nn::Param;
 use pragformer_tensor::serialize::StateDict;
 use pragformer_tensor::{loss, Tensor};
@@ -68,11 +69,15 @@ impl PragFormer {
         self.trunk.encoder()
     }
 
-    /// Model-local int8 override: `Some(true)` forces quantized trunk
-    /// inference, `Some(false)` forces f32, `None` follows the process
-    /// kernel tier (see [`crate::head::Trunk::set_int8_override`]).
-    pub fn set_int8_override(&mut self, force: Option<bool>) {
-        self.trunk.set_int8_override(force);
+    /// Sets the plan every later eval forward runs on (see
+    /// [`crate::head::Trunk::set_plan`]); heads run its f32 twin.
+    pub fn set_plan(&mut self, plan: InferencePlan) {
+        self.trunk.set_plan(plan);
+    }
+
+    /// The plan eval forwards run on.
+    pub fn plan(&self) -> InferencePlan {
+        self.trunk.plan()
     }
 
     /// Static f32-vs-int8 weight accounting for the trunk.

@@ -7,12 +7,13 @@
 //! the caller's padding. The contract: both produce **bitwise** the
 //! same CLS representations, and eval rows are invariant to batch
 //! split and padding. Randomized over model seeds, batch sizes, per-row
-//! valid lengths and padded lengths; the model-local int8 override pins
-//! the f32 path so the process-wide kernel tier (swept by CI's
-//! `PRAGFORMER_KERNEL` jobs) never interferes.
+//! valid lengths and padded lengths; each trunk is set to the default
+//! plan's f32 twin, so the default plan (swept by CI's
+//! `PRAGFORMER_KERNEL` jobs) never puts it on int8.
 
 use pragformer_model::{ModelConfig, Trunk};
 use pragformer_tensor::init::SeededRng;
+use pragformer_tensor::kernel::default_plan;
 use proptest::prelude::*;
 
 const VOCAB: usize = 18;
@@ -65,7 +66,7 @@ proptest! {
         let cfg = tiny_cfg(16);
         let mut rng = SeededRng::new(model_seed);
         let mut trunk = Trunk::new(&cfg, &mut rng);
-        trunk.set_int8_override(Some(false));
+        trunk.set_plan(default_plan().float());
         let (mut ids, valid) = random_batch(batch, seq, data_seed);
         // Extra padding the eval clamp must cut and the train forward
         // must run through.
@@ -96,7 +97,7 @@ proptest! {
         let cfg = tiny_cfg(16);
         let mut rng = SeededRng::new(model_seed);
         let mut trunk = Trunk::new(&cfg, &mut rng);
-        trunk.set_int8_override(Some(false));
+        trunk.set_plan(default_plan().float());
         let (ids, valid) = random_batch(batch, seq, data_seed);
         let batched = trunk.forward_cls(&ids, &valid, seq, false);
         trunk.clear_cache();
@@ -140,7 +141,7 @@ proptest! {
         let cfg = tiny_cfg(12);
         let mut rng = SeededRng::new(model_seed);
         let mut trunk = Trunk::new(&cfg, &mut rng);
-        trunk.set_int8_override(Some(false));
+        trunk.set_plan(default_plan().float());
         let (ids, valid) = random_batch(2, 8, data_seed);
         let baseline = trunk.forward_cls(&ids, &valid, 8, false);
         trunk.clear_cache();

@@ -81,10 +81,14 @@
 //!
 //! The `server` label is a process-unique instance number so several
 //! `AdvisorServer`s in one process (integration tests) never share
-//! counters; `tier` is the `pragformer_tensor::kernel` tier name
-//! (`scalar`/`avx2`/`int8`), `simd` the instruction set within a tier
-//! (`scalar`/`avx2` — the float simd on the f32 GEMM counters, the
-//! integer sub-simd on the int8 GEMM counters).
+//! counters; `tier` is the tier (`scalar`/`avx2`/`int8`) of the
+//! inference plan (`pragformer_tensor::kernel::InferencePlan`) of the
+//! advisor that ran the stage — each model owns its plan, so two
+//! advisors in one process on plans of different tiers record separate
+//! series.
+//! `simd` is the instruction set a kernel ran on (`scalar`/`avx2` — the
+//! float simd on the f32 GEMM counters, the integer sub-simd on the int8
+//! GEMM counters).
 //!
 //! ## Logging
 //!

@@ -137,7 +137,7 @@ pub fn histogram(
 
 /// Point-in-time copies of every registered histogram (name, labels,
 /// count, sum, cumulative buckets) — the data behind
-/// `examples/profile_advise`'s per-stage breakdown.
+/// `examples/profile.rs`'s per-stage breakdown.
 pub fn histogram_snapshots() -> Vec<HistogramSnapshot> {
     let reg = registry().lock().unwrap();
     reg.iter()

@@ -1,5 +1,5 @@
-//! Per-channel symmetric int8 quantization for the [`KernelTier::Int8`]
-//! inference tier.
+//! Per-channel symmetric int8 quantization for the int8 inference plans
+//! ([`KernelTier::Int8`]).
 //!
 //! [`QuantizedMatrix`] stores a weight matrix as `i8` values in the same
 //! `NR`-wide k-major column panels `ops::pack_b_panels` builds for f32,
@@ -21,7 +21,8 @@
 //! ([`QuantEpilogue`]). [`matmul_quant`] is the convenience wrapper
 //! (quantize, multiply, recycle).
 //!
-//! The integer kernels dispatch on [`super::int8_simd`]: the AVX2 path
+//! The integer kernels dispatch on the plan's
+//! [`int8_simd`](super::InferencePlan::int8_simd): the AVX2 path
 //! (`_mm256_madd_epi16` microkernels in `super::avx2`) is **bitwise
 //! identical** to the scalar `i32` loops — quantization rounds
 //! ties-to-even on both, the dot is exact on both, and the epilogues
@@ -40,7 +41,7 @@
 //!
 //! [`KernelTier::Int8`]: super::KernelTier::Int8
 
-use super::Simd;
+use super::{InferencePlan, Simd};
 use crate::{scratch, Tensor};
 use pragformer_obs as obs;
 use std::sync::{Arc, OnceLock};
@@ -173,9 +174,9 @@ pub(crate) fn quantize_row(row: &[f32], out: &mut [i8]) -> f32 {
     amax / QMAX
 }
 
-/// [`quantize_row`] on an explicit instruction set (both produce the
-/// same bits; the dispatch is purely a speed choice).
-fn quantize_row_with(simd: Simd, row: &[f32], out: &mut [i8]) -> f32 {
+/// [`quantize_row`] on `simd` (both produce the same bits; the dispatch
+/// is purely a speed choice).
+fn dispatch_quantize_row(simd: Simd, row: &[f32], out: &mut [i8]) -> f32 {
     match simd {
         #[cfg(target_arch = "x86_64")]
         Simd::Avx2 => super::avx2::quantize_row(row, out),
@@ -200,22 +201,17 @@ pub struct QuantizedActivations {
 }
 
 impl QuantizedActivations {
-    /// Quantizes a `[m × k]` activation matrix per row on the active
-    /// [`super::int8_simd`].
-    pub fn quantize(a: &Tensor) -> QuantizedActivations {
-        Self::quantize_with(super::int8_simd(), a)
-    }
-
-    /// [`quantize`](Self::quantize) on an explicit instruction set
-    /// (bitwise identical either way; used by the parity proptests).
-    pub fn quantize_with(simd: Simd, a: &Tensor) -> QuantizedActivations {
+    /// Quantizes a `[m × k]` activation matrix per row on `simd` — a
+    /// plan's [`int8_simd`](InferencePlan::int8_simd). Both instruction
+    /// sets give the same bits.
+    pub fn quantize(simd: Simd, a: &Tensor) -> QuantizedActivations {
         let (m, k) = (a.rows(), a.cols());
         let d = a.data();
         let mut data = scratch::take_i8(m * k);
         data.resize(m * k, 0);
         let mut scales = scratch::take(m);
         for i in 0..m {
-            scales.push(quantize_row_with(
+            scales.push(dispatch_quantize_row(
                 simd,
                 &d[i * k..(i + 1) * k],
                 &mut data[i * k..(i + 1) * k],
@@ -253,9 +249,9 @@ impl QuantizedActivations {
 /// would otherwise be 1–2 extra passes over the f32 output (bias add,
 /// GELU, residual add) happens while the freshly dequantized row is hot.
 ///
-/// The GELU variant dispatches on the **float** [`super::active_simd`]
-/// (not the int8 sub-simd), so `int8-scalar` and `int8-avx2` stay
-/// bitwise identical on one machine.
+/// The GELU variant dispatches on the plan's **float**
+/// [`simd`](InferencePlan::simd) (not its int8 sub-simd), so `int8` and
+/// `int8-scalar` stay bitwise identical on one machine.
 #[derive(Clone, Copy)]
 pub enum QuantEpilogue<'a> {
     /// Plain dequantize: `C = acc · (a_scale · b_scale)`.
@@ -274,33 +270,21 @@ pub enum QuantEpilogue<'a> {
 /// rescale per output element. Convenience wrapper over
 /// [`QuantizedActivations`] + [`matmul_quant_reuse`] (quantize,
 /// multiply, recycle) for single-consumer call sites and tests.
-pub fn matmul_quant(a: &Tensor, qb: &QuantizedMatrix) -> Tensor {
-    matmul_quant_with(super::int8_simd(), a, qb)
-}
-
-/// [`matmul_quant`] on an explicit instruction set.
-pub fn matmul_quant_with(simd: Simd, a: &Tensor, qb: &QuantizedMatrix) -> Tensor {
-    let qa = QuantizedActivations::quantize_with(simd, a);
-    let out = matmul_quant_reuse_with(simd, &qa, qb, QuantEpilogue::None);
+pub fn matmul_quant(plan: InferencePlan, a: &Tensor, qb: &QuantizedMatrix) -> Tensor {
+    let qa = QuantizedActivations::quantize(plan.int8_simd(), a);
+    let out = matmul_quant_reuse(plan, &qa, qb, QuantEpilogue::None);
     qa.recycle();
     out
 }
 
 /// The quantized GEMM over pre-quantized activations, with the
-/// dequantize epilogue fused: `C[m×n] = epilogue(QA · QB)`. Row chunks
-/// run on the worker pool (the integer dot is exact, so the split is
-/// invisible in the bits).
+/// dequantize epilogue fused: `C[m×n] = epilogue(QA · QB)`. The integer
+/// kernels run on the plan's [`int8_simd`](InferencePlan::int8_simd),
+/// the GELU epilogue on its float [`simd`](InferencePlan::simd). Row
+/// chunks run on the worker pool (the integer dot is exact, so the
+/// split is invisible in the bits).
 pub fn matmul_quant_reuse(
-    qa: &QuantizedActivations,
-    qb: &QuantizedMatrix,
-    epilogue: QuantEpilogue,
-) -> Tensor {
-    matmul_quant_reuse_with(super::int8_simd(), qa, qb, epilogue)
-}
-
-/// [`matmul_quant_reuse`] on an explicit instruction set.
-pub fn matmul_quant_reuse_with(
-    simd: Simd,
+    plan: InferencePlan,
     qa: &QuantizedActivations,
     qb: &QuantizedMatrix,
     epilogue: QuantEpilogue,
@@ -320,10 +304,8 @@ pub fn matmul_quant_reuse_with(
     if let Some(r) = residual {
         assert_eq!(r.len(), m * n, "epilogue residual shape");
     }
+    let (simd, float_simd) = (plan.int8_simd(), plan.simd());
     record_int8_gemm(simd, m, n, k);
-    // The epilogue GELU runs on the float simd — identical for both
-    // int8 sub-simds, preserving their bitwise-identity contract.
-    let float_simd = super::active_simd();
     let mut out = Tensor::zeros(&[m, n]);
     crate::parallel::par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
         let rows = chunk.len() / n;
@@ -358,7 +340,7 @@ pub fn matmul_quant_reuse_with(
             ),
         }
         if gelu {
-            crate::nn::activation::gelu_in_place_with(float_simd, chunk);
+            crate::nn::activation::gelu_in_place(float_simd, chunk);
         }
     });
     out
@@ -430,7 +412,7 @@ fn record_quantize_rows(rows: usize) {
 
 /// Advances the weight-quantization build counter — steady-state int8
 /// inference must not rebuild quantized weights
-/// (`examples/profile_advise.rs` asserts a zero delta after warm-up).
+/// (`examples/profile.rs` asserts a zero delta after warm-up).
 fn record_weight_quant_build() {
     if !obs::enabled() {
         return;
@@ -459,11 +441,7 @@ fn record_int8_gemm(simd: Simd, m: usize, n: usize, k: usize) {
         return;
     }
     static CELLS: [OnceLock<Int8GemmCounters>; 2] = [OnceLock::new(), OnceLock::new()];
-    let idx = match simd {
-        Simd::Scalar => 0,
-        Simd::Avx2 => 1,
-    };
-    let c = CELLS[idx].get_or_init(|| Int8GemmCounters {
+    let c = CELLS[simd as usize].get_or_init(|| Int8GemmCounters {
         calls: obs::counter(
             "pragformer_int8_gemm_calls_total",
             "Quantized int8 GEMM invocations",
@@ -590,7 +568,7 @@ mod tests {
         assert_eq!(q.scales()[0], 0.0);
         assert_eq!(q.scales()[2], 0.0);
         let a = Tensor::from_vec(&[2, 4], vec![0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]);
-        let c = matmul_quant(&a, &q);
+        let c = matmul_quant(crate::kernel::default_plan().int8(), &a, &q);
         assert_eq!(c.row(0), &[0.0, 0.0, 0.0], "zero activation row");
         assert_eq!(c.at2(1, 0), 0.0, "zero weight column");
         assert_eq!(c.at2(1, 2), 0.0, "zero weight column");
@@ -604,7 +582,7 @@ mod tests {
         let a = Tensor::randn(&[5, 13], 1.0, &mut rng);
         let w = Tensor::randn(&[13, 9], 1.0, &mut rng);
         let q = QuantizedMatrix::quantize(&w);
-        let c = matmul_quant(&a, &q);
+        let c = matmul_quant(crate::kernel::default_plan().int8(), &a, &q);
         let mut qa = vec![0i8; 13];
         for i in 0..5 {
             let a_scale = quantize_row(&a.data()[i * 13..(i + 1) * 13], &mut qa);
@@ -628,8 +606,8 @@ mod tests {
         let a = Tensor::randn(&[8, 24], 1.0, &mut rng);
         let w = Tensor::randn(&[24, 16], 0.3, &mut rng);
         let q = QuantizedMatrix::quantize(&w);
-        let exact = crate::ops::matmul(&a, &w);
-        let quant = matmul_quant(&a, &q);
+        let exact = crate::ops::matmul(crate::kernel::active_simd(), &a, &w);
+        let quant = matmul_quant(crate::kernel::default_plan().int8(), &a, &q);
         for (x, y) in exact.data().iter().zip(quant.data()) {
             // ~1% relative of the row/col magnitudes: generous but tight
             // enough to catch scale or layout bugs.

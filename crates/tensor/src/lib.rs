@@ -17,10 +17,10 @@
 //! * [`scratch`]: a per-thread reusable buffer arena the forward hot
 //!   loop draws its short-lived f32 scratch from (pack panels, attention
 //!   tiles, embedding gathers) instead of allocating fresh;
-//! * [`kernel`]: runtime-dispatched kernel tiers — portable scalar,
-//!   AVX2/FMA intrinsics, and an int8-quantized inference tier
-//!   ([`kernel::quantize`]) — selected once per process by CPU detection
-//!   with a `PRAGFORMER_KERNEL` override;
+//! * [`kernel`]: kernel tiers — portable scalar, AVX2/FMA intrinsics,
+//!   and an int8-quantized inference tier ([`kernel::quantize`]) — and
+//!   the [`kernel::InferencePlan`] each model runs on (the process
+//!   default comes from CPU detection or `PRAGFORMER_KERNEL`);
 //! * [`nn`]: layers with explicit forward/backward passes ([`nn::Linear`],
 //!   [`nn::LayerNorm`], [`nn::Embedding`], [`nn::Dropout`], activations);
 //!   no autograd tape — every layer caches what its analytic backward needs,

@@ -2,6 +2,7 @@
 //! transformer feed-forward blocks, matching RoBERTa).
 
 use super::{Layer, Param};
+use crate::kernel::{self, Simd};
 use crate::Tensor;
 
 pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -20,13 +21,13 @@ pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 /// GELU, tanh approximation (the variant used by BERT/RoBERTa):
 /// `0.5·x·(1 + tanh(√(2/π)(x + 0.044715 x³)))`.
 ///
-/// Dispatches on the active kernel tier: libm `tanh` per element on the
-/// scalar tier, the exp-based vector twin under AVX2 (within a few ulp;
-/// bitwise deterministic per tier like every forward kernel).
-pub fn gelu(x: &Tensor) -> Tensor {
-    match crate::kernel::active_simd() {
-        crate::kernel::Simd::Scalar => x.map(gelu_scalar),
-        crate::kernel::Simd::Avx2 => {
+/// Runs on `simd`: libm `tanh` per element on scalar, the exp-based
+/// vector twin under AVX2 (within a few ulp; bitwise deterministic per
+/// instruction set like every forward kernel).
+pub fn gelu(simd: Simd, x: &Tensor) -> Tensor {
+    match simd {
+        Simd::Scalar => x.map(gelu_scalar),
+        Simd::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             {
                 let mut out = Tensor::zeros(x.shape());
@@ -44,14 +45,14 @@ fn gelu_scalar(v: f32) -> f32 {
     0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + GELU_C * v * v * v)).tanh())
 }
 
-/// In-place [`gelu`] over a flat slice on an explicit *float* simd —
-/// the int8 GEMM's fused epilogue. The int8 kernels always pass
-/// [`crate::kernel::active_simd`] here (never the int8 sub-simd), so
-/// `int8-scalar` and `int8-avx2` apply bit-identical GELUs.
-pub(crate) fn gelu_in_place_with(simd: crate::kernel::Simd, buf: &mut [f32]) {
+/// In-place [`gelu`] over a flat slice — the int8 GEMM's fused
+/// epilogue. The int8 kernels always pass their plan's *float* simd
+/// here (never the int8 sub-simd), so `int8` and `int8-scalar` apply
+/// bit-identical GELUs.
+pub(crate) fn gelu_in_place(simd: Simd, buf: &mut [f32]) {
     match simd {
-        crate::kernel::Simd::Scalar => buf.iter_mut().for_each(|v| *v = gelu_scalar(*v)),
-        crate::kernel::Simd::Avx2 => {
+        Simd::Scalar => buf.iter_mut().for_each(|v| *v = gelu_scalar(*v)),
+        Simd::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             crate::kernel::avx2::gelu_in_place(buf);
             #[cfg(not(target_arch = "x86_64"))]
@@ -96,15 +97,22 @@ impl Activation {
     pub fn kind(&self) -> ActivationKind {
         self.kind
     }
+
+    /// [`Layer::forward`] on an explicit instruction set — what an eval
+    /// forward under a model's plan runs ([`Layer::forward`] uses the
+    /// default plan's).
+    pub fn forward_on(&mut self, simd: Simd, x: &Tensor, train: bool) -> Tensor {
+        self.cache_x = if train { Some(x.clone()) } else { None };
+        match self.kind {
+            ActivationKind::Relu => relu(x),
+            ActivationKind::Gelu => gelu(simd, x),
+        }
+    }
 }
 
 impl Layer for Activation {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.cache_x = if train { Some(x.clone()) } else { None };
-        match self.kind {
-            ActivationKind::Relu => relu(x),
-            ActivationKind::Gelu => gelu(x),
-        }
+        self.forward_on(kernel::active_simd(), x, train)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
@@ -134,7 +142,7 @@ mod tests {
     fn gelu_known_values() {
         // Reference values from the tanh approximation.
         let x = Tensor::from_vec(&[3], vec![-1.0, 0.0, 1.0]);
-        let y = gelu(&x);
+        let y = gelu(kernel::active_simd(), &x);
         assert!((y.data()[0] + 0.1588).abs() < 1e-3);
         assert_eq!(y.data()[1], 0.0);
         assert!((y.data()[2] - 0.8412).abs() < 1e-3);
@@ -146,12 +154,12 @@ mod tests {
         // minimum is ≈ −0.17 near x ≈ −0.75); approaches identity for
         // large positive x and zero for large negative x.
         let xs: Vec<f32> = (0..=20).map(|i| i as f32 / 10.0).collect();
-        let y = gelu(&Tensor::from_vec(&[xs.len()], xs));
+        let y = gelu(kernel::active_simd(), &Tensor::from_vec(&[xs.len()], xs));
         for w in y.data().windows(2) {
             assert!(w[1] >= w[0] - 1e-6);
         }
         let neg: Vec<f32> = (-40..0).map(|i| i as f32 / 10.0).collect();
-        let yn = gelu(&Tensor::from_vec(&[neg.len()], neg));
+        let yn = gelu(kernel::active_simd(), &Tensor::from_vec(&[neg.len()], neg));
         for v in yn.data() {
             assert!(*v <= 1e-6 && *v > -0.2, "gelu(neg) out of range: {v}");
         }

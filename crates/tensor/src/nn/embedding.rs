@@ -30,11 +30,11 @@ impl Embedding {
         Self { table: Param::new(format!("{name}.table"), table), cache_ids: None, qt: None }
     }
 
-    /// Holds the int8 copy of the table under [`WeightCache::Int8`]
-    /// (building it if missing) and no copy otherwise: lookups are
-    /// gathers, so there is nothing to pre-pack. Idempotent.
+    /// Holds the int8 copy of the table under an int8 plan (building it
+    /// if missing) and no copy otherwise: lookups are gathers, so there
+    /// is nothing to pre-pack and no kernel to pick. Idempotent.
     pub fn set_weight_cache(&mut self, cache: WeightCache) {
-        if cache != WeightCache::Int8 {
+        if !cache.is_int8() {
             self.qt = None;
         } else if self.qt.is_none() {
             self.qt = Some(QuantizedEmbedding::quantize(&self.table.value));
@@ -149,7 +149,7 @@ mod tests {
         let mut rng = SeededRng::new(9);
         let mut emb = Embedding::new("tok", 8, 6, &mut rng);
         let exact = emb.lookup(&[2, 5, 2]);
-        emb.set_weight_cache(WeightCache::Int8);
+        emb.set_weight_cache(WeightCache::Infer(crate::kernel::default_plan().int8()));
         assert!(emb.is_quantized());
         let quant = emb.lookup(&[2, 5, 2]);
         assert_eq!(quant.row(0), quant.row(2), "duplicate ids must gather identical rows");
@@ -168,7 +168,7 @@ mod tests {
     fn quantized_backward_panics() {
         let mut rng = SeededRng::new(10);
         let mut emb = Embedding::new("tok", 5, 2, &mut rng);
-        emb.set_weight_cache(WeightCache::Int8);
+        emb.set_weight_cache(WeightCache::Infer(crate::kernel::default_plan().int8()));
         let _ = emb.lookup(&[1]);
         emb.backward_ids(&Tensor::zeros(&[1, 2]));
     }

@@ -5,23 +5,51 @@ use crate::init::{xavier_bound, SeededRng};
 use crate::kernel::quantize::{
     matmul_quant_reuse, QuantEpilogue, QuantizedActivations, QuantizedMatrix,
 };
+use crate::kernel::{self, InferencePlan};
 use crate::ops::{self, PackedWeights};
 use crate::Tensor;
 
-/// The derived weight copy a layer holds ([`Linear::set_weight_cache`],
-/// [`super::Embedding::set_weight_cache`]). One value per model decides
-/// the whole stack: no copy while training, packed f32 panels for f32
-/// inference, int8 copies for the int8 tier.
+/// What a layer's next forward runs on — the one value a model hands
+/// every layer ([`Linear::set_weight_cache`],
+/// [`super::Embedding::set_weight_cache`]). It decides two things: the
+/// derived weight copy the layer holds, and the kernels its forward
+/// dispatches on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WeightCache {
-    /// Plain f32 weights only — the training regime (backward requires
-    /// it).
+    /// Training: plain f32 weights only (backward requires it), kernels
+    /// on the default plan's float instruction set.
     None,
-    /// Pre-packed f32 panels (zero-repack f32 inference). Embedding
-    /// tables are gathered, not multiplied, so they hold nothing here.
-    Packed,
-    /// Int8 copies (quantized inference).
-    Int8,
+    /// Inference under a plan: int8 copies on the int8 plans, pre-packed
+    /// f32 panels otherwise (zero-repack f32 inference), kernels on the
+    /// plan's instruction sets. Embedding tables are gathered, not
+    /// multiplied, so they hold a copy only on the int8 plans.
+    Infer(InferencePlan),
+}
+
+impl WeightCache {
+    /// The plan this value runs on: its own, or the default plan in
+    /// training.
+    #[inline]
+    pub fn plan(self) -> InferencePlan {
+        match self {
+            WeightCache::None => kernel::default_plan(),
+            WeightCache::Infer(plan) => plan,
+        }
+    }
+
+    /// Whether this value puts the layer on int8 copies.
+    #[inline]
+    pub fn is_int8(self) -> bool {
+        matches!(self, WeightCache::Infer(plan) if plan.is_int8())
+    }
+}
+
+/// The derived copy of `W` a [`Linear`] holds, with the plan it was
+/// set for.
+enum Derived {
+    None,
+    Packed(InferencePlan, PackedWeights),
+    Int8(InferencePlan, QuantizedMatrix),
 }
 
 /// Dense affine transform over the last dimension.
@@ -30,22 +58,21 @@ pub enum WeightCache {
 /// initialized; the bias starts at zero.
 ///
 /// At inference the layer holds one derived copy of `W`, chosen by
-/// [`Linear::set_weight_cache`]: a quantized copy for the int8 tier
+/// [`Linear::set_weight_cache`]: a quantized copy on the int8 plans
 /// (`forward` then runs the int8 GEMM instead of f32), or a
 /// [`PackedWeights`] copy whose panels were packed once, so `forward`
 /// skips the per-call pack while staying bitwise identical to the plain
-/// f32 path. Both copies are inference-only — `backward` refuses to run
-/// with either set — and are dropped whenever parameters are handed out
-/// mutably (`visit_params`: optimizer steps, checkpoint restores), so
-/// they can never go stale.
+/// f32 path; either way on the plan's kernels. Both copies are
+/// inference-only — `backward` refuses to run with either set — and are
+/// dropped whenever parameters are handed out mutably (`visit_params`:
+/// optimizer steps, checkpoint restores), so they can never go stale.
 pub struct Linear {
     /// Weight matrix `[in, out]`.
     pub w: Param,
     /// Bias vector `[out]`.
     pub b: Param,
     cache_x: Option<Tensor>,
-    qw: Option<QuantizedMatrix>,
-    pw: Option<PackedWeights>,
+    derived: Derived,
 }
 
 impl Linear {
@@ -62,8 +89,7 @@ impl Linear {
             w: Param::new(format!("{name}.w"), w),
             b: Param::new(format!("{name}.b"), Tensor::zeros(&[out_dim])),
             cache_x: None,
-            qw: None,
-            pw: None,
+            derived: Derived::None,
         }
     }
 
@@ -77,26 +103,41 @@ impl Linear {
         self.w.value.cols()
     }
 
-    /// Makes this layer hold exactly the derived copy of `W` that
-    /// `cache` names, building it if missing and dropping the other.
-    /// Idempotent: a copy already held is kept, so calling this before
-    /// every forward costs nothing once warm.
+    /// Makes this layer run on `cache`: holds exactly the derived copy
+    /// of `W` it names, building it if missing and dropping the other.
+    /// Idempotent: a copy already held is kept (the copies do not depend
+    /// on the instruction set), so calling this before every forward
+    /// costs nothing once warm.
     pub fn set_weight_cache(&mut self, cache: WeightCache) {
-        if cache != WeightCache::Int8 {
-            self.qw = None;
-        } else if self.qw.is_none() {
-            self.qw = Some(QuantizedMatrix::quantize(&self.w.value));
-        }
-        if cache != WeightCache::Packed {
-            self.pw = None;
-        } else if self.pw.is_none() {
-            self.pw = Some(PackedWeights::pack(&self.w.value));
+        self.derived = match (std::mem::replace(&mut self.derived, Derived::None), cache) {
+            (_, WeightCache::None) => Derived::None,
+            (Derived::Int8(_, qw), WeightCache::Infer(plan)) if plan.is_int8() => {
+                Derived::Int8(plan, qw)
+            }
+            (_, WeightCache::Infer(plan)) if plan.is_int8() => {
+                Derived::Int8(plan, QuantizedMatrix::quantize(&self.w.value))
+            }
+            (Derived::Packed(_, pw), WeightCache::Infer(plan)) => Derived::Packed(plan, pw),
+            (_, WeightCache::Infer(plan)) => {
+                Derived::Packed(plan, PackedWeights::pack(&self.w.value))
+            }
+        };
+    }
+
+    /// The value the layer's next forward runs on (the last
+    /// [`set_weight_cache`](Self::set_weight_cache), or
+    /// [`WeightCache::None`] once parameters were handed out).
+    #[inline]
+    pub fn weight_cache(&self) -> WeightCache {
+        match &self.derived {
+            Derived::None => WeightCache::None,
+            Derived::Packed(plan, _) | Derived::Int8(plan, _) => WeightCache::Infer(*plan),
         }
     }
 
     /// Whether quantized inference is active.
     pub fn is_quantized(&self) -> bool {
-        self.qw.is_some()
+        matches!(self.derived, Derived::Int8(..))
     }
 
     /// Bytes of the quantized form of this layer's weight matrix
@@ -107,7 +148,7 @@ impl Linear {
 
     /// Whether prepacked inference is active.
     pub fn is_packed(&self) -> bool {
-        self.pw.is_some()
+        matches!(self.derived, Derived::Packed(..))
     }
 
     /// Bytes of the packed form of this layer's weight matrix (static
@@ -116,29 +157,39 @@ impl Linear {
         PackedWeights::bytes_for(self.in_dim(), self.out_dim())
     }
 
+    /// The int8 copy and the plan it runs on.
+    fn quantized(&self, what: &str) -> (InferencePlan, &QuantizedMatrix) {
+        match &self.derived {
+            Derived::Int8(plan, qw) => (*plan, qw),
+            _ => panic!("{what} on an unquantized layer"),
+        }
+    }
+
     /// Int8 forward over **pre-quantized** activations with the bias
     /// fused into the dequantize epilogue — the quantize-once path
-    /// siblings sharing one input use (attention Q/K/V). Requires the
-    /// quantized cache ([`WeightCache::Int8`]).
+    /// siblings sharing one input use (attention Q/K/V). Requires an
+    /// int8 plan ([`WeightCache::Infer`]); `qx` must be quantized on
+    /// its [`int8_simd`](InferencePlan::int8_simd).
     pub fn forward_quant(&self, qx: &QuantizedActivations) -> Tensor {
-        let qw = self.qw.as_ref().expect("forward_quant on an unquantized layer");
-        matmul_quant_reuse(qx, qw, QuantEpilogue::Bias(self.b.value.data()))
+        let (plan, qw) = self.quantized("forward_quant");
+        matmul_quant_reuse(plan, qx, qw, QuantEpilogue::Bias(self.b.value.data()))
     }
 
     /// [`Linear::forward_quant`] with tanh-GELU fused after the bias —
     /// the feed-forward `ff1` epilogue.
     pub fn forward_quant_gelu(&self, qx: &QuantizedActivations) -> Tensor {
-        let qw = self.qw.as_ref().expect("forward_quant_gelu on an unquantized layer");
-        matmul_quant_reuse(qx, qw, QuantEpilogue::BiasGelu(self.b.value.data()))
+        let (plan, qw) = self.quantized("forward_quant_gelu");
+        matmul_quant_reuse(plan, qx, qw, QuantEpilogue::BiasGelu(self.b.value.data()))
     }
 
     /// [`Linear::forward_quant`] with a residual add fused after the
     /// bias — the attention output / `ff2` epilogue. `residual` is the
     /// block input, shaped like the output.
     pub fn forward_quant_residual(&self, qx: &QuantizedActivations, residual: &Tensor) -> Tensor {
-        let qw = self.qw.as_ref().expect("forward_quant_residual on an unquantized layer");
+        let (plan, qw) = self.quantized("forward_quant_residual");
         assert_eq!(residual.shape(), &[qx.m(), self.out_dim()], "residual shape");
         matmul_quant_reuse(
+            plan,
             qx,
             qw,
             QuantEpilogue::BiasResidual(self.b.value.data(), residual.data()),
@@ -149,23 +200,23 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.cols(), self.in_dim(), "Linear input dim");
-        let y = match (&self.qw, &self.pw) {
-            (Some(_), _) => {
+        let y = match &self.derived {
+            Derived::Int8(plan, _) => {
                 // Same fused path as `forward_quant`, so a layer fed a
                 // shared pre-quantized input produces identical bits to
                 // one quantizing its own (the quantize-once pin).
-                let qx = QuantizedActivations::quantize(x);
+                let qx = QuantizedActivations::quantize(plan.int8_simd(), x);
                 let y = self.forward_quant(&qx);
                 qx.recycle();
                 y
             }
-            (None, Some(p)) => {
-                let mut y = ops::matmul_prepacked(x, p);
+            Derived::Packed(plan, pw) => {
+                let mut y = ops::matmul_prepacked(plan.simd(), x, pw);
                 ops::add_bias(&mut y, &self.b.value);
                 y
             }
-            (None, None) => {
-                let mut y = ops::matmul(x, &self.w.value);
+            Derived::None => {
+                let mut y = ops::matmul(kernel::active_simd(), x, &self.w.value);
                 ops::add_bias(&mut y, &self.b.value);
                 y
             }
@@ -177,22 +228,22 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        assert!(self.qw.is_none(), "Linear::backward on a quantized (inference-only) layer");
-        assert!(self.pw.is_none(), "Linear::backward on a prepacked (inference-only) layer");
+        assert!(!self.is_quantized(), "Linear::backward on a quantized (inference-only) layer");
+        assert!(!self.is_packed(), "Linear::backward on a prepacked (inference-only) layer");
         let x = self.cache_x.take().expect("Linear::backward before forward");
+        let simd = kernel::active_simd();
         // dW = xᵀ·dy, db = Σ rows dy, dx = dy·Wᵀ
-        self.w.grad.add_assign(&ops::matmul_tn(&x, dy));
+        self.w.grad.add_assign(&ops::matmul_tn(simd, &x, dy));
         self.b.grad.add_assign(&ops::sum_rows(dy));
         // dx = dy · Wᵀ: matmul_nt transposes its second operand internally.
-        ops::matmul_nt(dy, &self.w.value)
+        ops::matmul_nt(simd, dy, &self.w.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         // Handing out &mut Params can change the weights (optimizer
         // step, checkpoint restore): neither derived copy of W may
         // survive it.
-        self.qw = None;
-        self.pw = None;
+        self.derived = Derived::None;
         f(&mut self.w);
         f(&mut self.b);
     }
@@ -202,6 +253,14 @@ impl Layer for Linear {
 mod tests {
     use super::*;
     use crate::gradcheck;
+
+    fn int8() -> InferencePlan {
+        kernel::default_plan().int8()
+    }
+
+    fn f32() -> InferencePlan {
+        kernel::default_plan().float()
+    }
 
     #[test]
     fn forward_known_values() {
@@ -248,7 +307,7 @@ mod tests {
         let mut lin = Linear::new(6, 4, &mut rng);
         let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
         let y32 = lin.forward(&x, false);
-        lin.set_weight_cache(WeightCache::Int8);
+        lin.set_weight_cache(WeightCache::Infer(int8()));
         assert!(lin.is_quantized());
         let y8 = lin.forward(&x, false);
         for (a, b) in y32.data().iter().zip(y8.data()) {
@@ -267,7 +326,7 @@ mod tests {
         let mut lin = Linear::new(6, 4, &mut rng);
         let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
         let y32 = lin.forward(&x, false);
-        lin.set_weight_cache(WeightCache::Packed);
+        lin.set_weight_cache(WeightCache::Infer(f32()));
         assert!(lin.is_packed());
         assert_eq!(lin.packed_weight_bytes(), PackedWeights::bytes_for(6, 4));
         let yp = lin.forward(&x, false);
@@ -284,9 +343,9 @@ mod tests {
     fn weight_cache_holds_one_copy_at_a_time() {
         let mut rng = SeededRng::new(12);
         let mut lin = Linear::new(5, 3, &mut rng);
-        lin.set_weight_cache(WeightCache::Int8);
+        lin.set_weight_cache(WeightCache::Infer(int8()));
         assert!(lin.is_quantized() && !lin.is_packed());
-        lin.set_weight_cache(WeightCache::Packed);
+        lin.set_weight_cache(WeightCache::Infer(f32()));
         assert!(lin.is_packed() && !lin.is_quantized());
         lin.set_weight_cache(WeightCache::None);
         assert!(!lin.is_packed() && !lin.is_quantized());
@@ -298,7 +357,7 @@ mod tests {
         let mut rng = SeededRng::new(13);
         let mut lin = Linear::new(3, 3, &mut rng);
         let x = Tensor::randn(&[2, 3], 1.0, &mut rng);
-        lin.set_weight_cache(WeightCache::Packed);
+        lin.set_weight_cache(WeightCache::Infer(f32()));
         let y = lin.forward(&x, true);
         let _ = lin.backward(&Tensor::full(y.shape(), 1.0));
     }
@@ -309,7 +368,7 @@ mod tests {
         let mut rng = SeededRng::new(10);
         let mut lin = Linear::new(3, 3, &mut rng);
         let x = Tensor::randn(&[2, 3], 1.0, &mut rng);
-        lin.set_weight_cache(WeightCache::Int8);
+        lin.set_weight_cache(WeightCache::Infer(int8()));
         let y = lin.forward(&x, true);
         let _ = lin.backward(&Tensor::full(y.shape(), 1.0));
     }

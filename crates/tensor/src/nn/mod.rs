@@ -5,6 +5,19 @@
 //! [`Param::grad`]. Optimizers visit parameters through
 //! [`Layer::visit_params`]; parameter identity (for optimizer state such
 //! as Adam moments) comes from the unique [`Param::id`].
+//!
+//! ## Plans
+//!
+//! Layers that run kernels read one value, [`WeightCache`]:
+//! `WeightCache::None` in training (plain f32 weights, the default
+//! plan's float kernels) and `WeightCache::Infer(plan)` at inference
+//! (int8 copies on an int8 [`InferencePlan`](crate::kernel::InferencePlan),
+//! pre-packed panels otherwise, on the plan's kernels). A model hands
+//! the same value to every layer (the model crate's
+//! `Trunk::weight_cache`); blocks built from layers (attention, the
+//! feed-forward block) read it back from their [`Linear`]s
+//! ([`Linear::weight_cache`]) rather than keeping a copy. A layer used
+//! on its own, with no value set, runs like training.
 
 pub(crate) mod activation;
 mod dropout;

@@ -39,14 +39,14 @@
 //! `matmul_tn` gather) is drawn from [`crate::scratch`] rather than
 //! allocated fresh.
 //!
-//! ## Kernel tiers
+//! ## Instruction sets
 //!
-//! Each GEMM dispatches once at entry on the process-wide kernel tier
-//! ([`crate::kernel::active_simd`]): the portable scalar microkernels
-//! below, or their AVX2/FMA twins in `kernel::avx2`. The `*_with`
-//! variants ([`matmul_with`] etc.) take the [`Simd`] explicitly for
-//! benches and per-tier tests that must not depend on (or perturb) the
-//! global tier.
+//! Every entry point takes the [`Simd`] it runs on as its first
+//! argument and dispatches once at entry: the portable scalar
+//! microkernels below, or their AVX2/FMA twins in `kernel::avx2`. An
+//! eval forward passes its model's plan ([`crate::kernel::InferencePlan`]);
+//! training passes the default plan's ([`crate::kernel::active_simd`]).
+//! Every call counts itself into the GEMM / softmax obs counters.
 //!
 //! ## Determinism
 //!
@@ -135,7 +135,7 @@ fn pack_b_panels_into(b: &[f32], k: usize, n: usize, packed: &mut [f32]) {
 
 /// [`pack_b_panels_into`] into a fresh (non-arena) buffer — the
 /// long-lived [`PackedWeights`] build and test helpers. Hot paths use
-/// the arena-backed variant inside [`matmul_with`]/[`matmul_tn_with`].
+/// the arena-backed variant inside [`matmul`]/[`matmul_tn`].
 fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
     let panels = n.div_ceil(NR);
     let mut packed = vec![0.0f32; panels * k * NR];
@@ -293,11 +293,7 @@ fn record_gemm(op_idx: usize, simd: Simd, m: usize, n: usize, k: usize) {
     /// Cached `(calls, flops)` counter handles for one `(op, simd)` cell.
     type GemmCounters = (Arc<obs::Counter>, Arc<obs::Counter>);
     static CELLS: [[OnceLock<GemmCounters>; 2]; 3] = [const { [const { OnceLock::new() }; 2] }; 3];
-    let s = match simd {
-        Simd::Scalar => 0,
-        Simd::Avx2 => 1,
-    };
-    let (calls, flops) = CELLS[op_idx][s].get_or_init(|| {
+    let (calls, flops) = CELLS[op_idx][simd as usize].get_or_init(|| {
         let labels = [("op", GEMM_OPS[op_idx]), ("simd", simd.name())];
         (
             obs::counter("pragformer_gemm_calls_total", "f32 GEMM entry-point calls", &labels),
@@ -312,18 +308,12 @@ fn record_gemm(op_idx: usize, simd: Simd, m: usize, n: usize, k: usize) {
     flops.add(2 * (m as u64) * (n as u64) * (k as u64));
 }
 
-/// `C[m×n] = A[m×k] · B[k×n]` on the active kernel tier.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let simd = kernel::active_simd();
-    record_gemm(OP_NN, simd, a.rows(), b.cols(), a.cols());
-    matmul_with(simd, a, b)
-}
-
-/// [`matmul`] on an explicit instruction set (per-tier tests, benches).
-pub fn matmul_with(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
+/// `C[m×n] = A[m×k] · B[k×n]` on `simd`.
+pub fn matmul(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
     assert_eq!(k, kb, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    record_gemm(OP_NN, simd, m, n, k);
     let mut out = Tensor::zeros(&[m, n]);
     let (a_d, b_d) = (a.data(), b.data());
     if m < PACK_MIN_ROWS || n < NR {
@@ -374,7 +364,7 @@ fn adjust_packed_bytes(delta: isize) {
 /// A weight matrix's B-panels, packed once — the f32 twin of
 /// [`crate::kernel::quantize::QuantizedMatrix`].
 ///
-/// Holds exactly the buffer [`matmul_with`] would build per call
+/// Holds exactly the buffer [`matmul`] would build per call
 /// (`⌈n/NR⌉·k·NR` floats, zero-padded lanes included), so
 /// [`matmul_prepacked`] against it is **bitwise identical** to
 /// [`matmul`] against the original matrix on every tier, shape and
@@ -446,19 +436,12 @@ fn record_prepack_hit() {
 /// `C[m×n] = A[m×k] · B` where `B`'s panels were packed once by
 /// [`PackedWeights::pack`] — zero per-call pack work, bitwise identical
 /// to [`matmul`] on the original matrix (see [`PackedWeights`]).
-pub fn matmul_prepacked(a: &Tensor, pw: &PackedWeights) -> Tensor {
-    let simd = kernel::active_simd();
-    record_gemm(OP_NN, simd, a.rows(), pw.n, a.cols());
-    record_prepack_hit();
-    matmul_prepacked_with(simd, a, pw)
-}
-
-/// [`matmul_prepacked`] on an explicit instruction set (per-tier tests,
-/// benches).
-pub fn matmul_prepacked_with(simd: Simd, a: &Tensor, pw: &PackedWeights) -> Tensor {
+pub fn matmul_prepacked(simd: Simd, a: &Tensor, pw: &PackedWeights) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     assert_eq!(k, pw.k, "matmul_prepacked inner dims: {:?} x [{}, {}]", a.shape(), pw.k, pw.n);
     let n = pw.n;
+    record_gemm(OP_NN, simd, m, n, k);
+    record_prepack_hit();
     let mut out = Tensor::zeros(&[m, n]);
     let a_d = a.data();
     // Every shape runs the packed microkernel (the panels already
@@ -480,18 +463,11 @@ pub fn matmul_prepacked_with(simd: Simd, a: &Tensor, pw: &PackedWeights) -> Tens
 /// `O(k·n)` panel build and its buffer entirely, keeping the
 /// steady-state forward path free of `pragformer_pack_builds_total`
 /// increments.
-pub fn matmul_unpacked(a: &Tensor, b: &Tensor) -> Tensor {
-    let simd = kernel::active_simd();
-    record_gemm(OP_NN, simd, a.rows(), b.cols(), a.cols());
-    matmul_unpacked_with(simd, a, b)
-}
-
-/// [`matmul_unpacked`] on an explicit instruction set (per-tier tests,
-/// benches).
-pub fn matmul_unpacked_with(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
+pub fn matmul_unpacked(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
     assert_eq!(k, kb, "matmul_unpacked inner dims: {:?} x {:?}", a.shape(), b.shape());
+    record_gemm(OP_NN, simd, m, n, k);
     let mut out = Tensor::zeros(&[m, n]);
     let (a_d, b_d) = (a.data(), b.data());
     par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
@@ -552,22 +528,16 @@ fn dispatch_dot(simd: Simd, x: &[f32], y: &[f32]) -> f32 {
     }
 }
 
-/// `C[m×n] = A[m×k] · Bᵀ` where `B` is `[n×k]`, on the active kernel
-/// tier.
+/// `C[m×n] = A[m×k] · Bᵀ` where `B` is `[n×k]`, on `simd`.
 ///
 /// Row-times-row dot products: both operands stream contiguously. Each
-/// dot has a fixed reduction order per tier — see the module docs.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let simd = kernel::active_simd();
-    record_gemm(OP_NT, simd, a.rows(), b.rows(), a.cols());
-    matmul_nt_with(simd, a, b)
-}
-
-/// [`matmul_nt`] on an explicit instruction set (per-tier tests, benches).
-pub fn matmul_nt_with(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
+/// dot has a fixed reduction order per instruction set — see the module
+/// docs.
+pub fn matmul_nt(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (n, kb) = (b.rows(), b.cols());
     assert_eq!(k, kb, "matmul_nt inner dims: {:?} x {:?}ᵀ", a.shape(), b.shape());
+    record_gemm(OP_NT, simd, m, n, k);
     let mut out = Tensor::zeros(&[m, n]);
     let (a_d, b_d) = (a.data(), b.data());
     par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
@@ -621,11 +591,28 @@ fn tn_simple_rows(
 ///
 /// Both paths accumulate every output element in a single chain,
 /// ascending in the sample index `s`, so results are bitwise identical
-/// (per tier) across paths, worker splits, and the pre-blocking kernel.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let simd = kernel::active_simd();
-    record_gemm(OP_TN, simd, a.cols(), b.cols(), a.rows());
-    matmul_tn_with(simd, a, b)
+/// (per instruction set) across paths, worker splits, and the
+/// pre-blocking kernel.
+pub fn matmul_tn(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k) = (a.rows(), a.cols());
+    let (mb, n) = (b.rows(), b.cols());
+    assert_eq!(m, mb, "matmul_tn outer dims: {:?}ᵀ x {:?}", a.shape(), b.shape());
+    record_gemm(OP_TN, simd, k, n, m);
+    let mut out = Tensor::zeros(&[k, n]);
+    let (a_d, b_d) = (a.data(), b.data());
+    if k < PACK_MIN_ROWS || n < NR {
+        par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
+            dispatch_tn_simple(simd, a_d, m, k, row0, b_d, n, chunk);
+        });
+        return out;
+    }
+    let mut packed = scratch::take_zeroed(n.div_ceil(NR) * m * NR);
+    pack_b_panels_into(b_d, m, n, &mut packed);
+    par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
+        tn_packed_rows(simd, a_d, m, k, row0, &packed, n, chunk);
+    });
+    scratch::give(packed);
+    out
 }
 
 /// [`tn_simple_rows`] on the requested instruction set.
@@ -649,28 +636,6 @@ fn dispatch_tn_simple(
             unreachable!("avx2 kernels requested on a non-x86_64 build");
         }
     }
-}
-
-/// [`matmul_tn`] on an explicit instruction set (per-tier tests, benches).
-pub fn matmul_tn_with(simd: Simd, a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (mb, n) = (b.rows(), b.cols());
-    assert_eq!(m, mb, "matmul_tn outer dims: {:?}ᵀ x {:?}", a.shape(), b.shape());
-    let mut out = Tensor::zeros(&[k, n]);
-    let (a_d, b_d) = (a.data(), b.data());
-    if k < PACK_MIN_ROWS || n < NR {
-        par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
-            dispatch_tn_simple(simd, a_d, m, k, row0, b_d, n, chunk);
-        });
-        return out;
-    }
-    let mut packed = scratch::take_zeroed(n.div_ceil(NR) * m * NR);
-    pack_b_panels_into(b_d, m, n, &mut packed);
-    par_rows_mut(out.data_mut(), n, MIN_ROWS_PER_THREAD, |row0, chunk| {
-        tn_packed_rows(simd, a_d, m, k, row0, &packed, n, chunk);
-    });
-    scratch::give(packed);
-    out
 }
 
 /// Packed-path body of [`matmul_tn`] for one worker's chunk of output
@@ -703,7 +668,7 @@ fn tn_packed_rows(
 }
 
 /// Reference `C = A · B`: textbook triple loop, no blocking, no packing,
-/// no parallelism, always scalar (tier-independent). Kept strictly as
+/// no parallelism, always scalar (plan-independent). Kept strictly as
 /// the cross-tier oracle for the GEMM property tests and the kernel
 /// benchmarks' baseline — never call it on a hot path.
 #[doc(hidden)]
@@ -820,11 +785,7 @@ fn record_softmax_rows(simd: Simd, rows: usize) {
         return;
     }
     static CELLS: [OnceLock<Arc<obs::Counter>>; 2] = [const { OnceLock::new() }; 2];
-    let s = match simd {
-        Simd::Scalar => 0,
-        Simd::Avx2 => 1,
-    };
-    CELLS[s]
+    CELLS[simd as usize]
         .get_or_init(|| {
             obs::counter(
                 "pragformer_softmax_rows_total",
@@ -865,52 +826,35 @@ fn softmax_row(row: &mut [f32], valid: usize) {
 /// Numerically-stable softmax over the last dimension, in place.
 ///
 /// `row_valid` optionally limits each row to its first `row_valid[r]`
-/// entries; the rest are forced to probability 0 (padding-mask semantics).
+/// entries; the rest are forced to probability 0 (padding-mask
+/// semantics). Runs on the default plan's instruction set — its callers
+/// are the training losses.
 pub fn softmax_rows(x: &mut Tensor, row_valid: Option<&[usize]>) {
     let n = x.cols();
-    let simd = kernel::active_simd();
-    record_softmax_rows(simd, x.rows());
-    match simd {
-        Simd::Scalar => {
-            for (r, row) in x.data_mut().chunks_mut(n).enumerate() {
-                let valid = row_valid.map_or(n, |v| v[r].min(n));
-                softmax_row(row, valid);
-            }
-        }
-        Simd::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            kernel::avx2::softmax_rows(x.data_mut(), n, &mut |r| {
-                row_valid.map_or(n, |v| v[r].min(n))
-            });
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("avx2 kernels requested on a non-x86_64 build");
-        }
-    }
+    dispatch_softmax(kernel::active_simd(), x, &mut |r| row_valid.map_or(n, |v| v[r].min(n)));
 }
 
 /// [`softmax_rows`] with the same valid-prefix for every row (attention's
 /// per-sequence padding mask) — avoids materializing a per-row mask
-/// vector on the hot path.
-pub fn softmax_rows_uniform(x: &mut Tensor, valid: usize) {
-    let simd = kernel::active_simd();
-    record_softmax_rows(simd, x.rows());
-    softmax_rows_uniform_with(simd, x, valid);
+/// vector on the hot path. Runs on `simd`.
+pub fn softmax_rows_uniform(simd: Simd, x: &mut Tensor, valid: usize) {
+    let valid = valid.min(x.cols());
+    dispatch_softmax(simd, x, &mut |_| valid);
 }
 
-/// [`softmax_rows_uniform`] on an explicit instruction set (per-tier
-/// tests, benches).
-pub fn softmax_rows_uniform_with(simd: Simd, x: &mut Tensor, valid: usize) {
+/// Row softmax of `x` on `simd`, row `r` valid up to `valid_of(r)`.
+fn dispatch_softmax(simd: Simd, x: &mut Tensor, valid_of: &mut dyn FnMut(usize) -> usize) {
     let n = x.cols();
-    let valid = valid.min(n);
+    record_softmax_rows(simd, x.rows());
     match simd {
         Simd::Scalar => {
-            for row in x.data_mut().chunks_mut(n) {
-                softmax_row(row, valid);
+            for (r, row) in x.data_mut().chunks_mut(n).enumerate() {
+                softmax_row(row, valid_of(r));
             }
         }
         Simd::Avx2 => {
             #[cfg(target_arch = "x86_64")]
-            kernel::avx2::softmax_rows(x.data_mut(), n, &mut |_| valid);
+            kernel::avx2::softmax_rows(x.data_mut(), n, valid_of);
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("avx2 kernels requested on a non-x86_64 build");
         }
@@ -937,6 +881,7 @@ pub fn softmax_backward(p: &Tensor, dp: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::active_simd;
 
     fn t(shape: &[usize], v: Vec<f32>) -> Tensor {
         Tensor::from_vec(shape, v)
@@ -946,7 +891,7 @@ mod tests {
     fn matmul_known_values() {
         let a = t(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let b = t(&[3, 2], vec![7., 8., 9., 10., 11., 12.]);
-        let c = matmul(&a, &b);
+        let c = matmul(active_simd(), &a, &b);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
@@ -954,8 +899,8 @@ mod tests {
     fn matmul_identity() {
         let a = t(&[2, 2], vec![3., 1., 4., 1.]);
         let i = t(&[2, 2], vec![1., 0., 0., 1.]);
-        assert_eq!(matmul(&a, &i), a);
-        assert_eq!(matmul(&i, &a), a);
+        assert_eq!(matmul(active_simd(), &a, &i), a);
+        assert_eq!(matmul(active_simd(), &i, &a), a);
     }
 
     #[test]
@@ -963,14 +908,14 @@ mod tests {
         let mut rng = crate::init::SeededRng::new(11);
         let a = Tensor::randn(&[5, 7], 1.0, &mut rng);
         let b = Tensor::randn(&[4, 7], 1.0, &mut rng);
-        let c1 = matmul_nt(&a, &b);
-        let c2 = matmul(&a, &b.transpose2());
+        let c1 = matmul_nt(active_simd(), &a, &b);
+        let c2 = matmul(active_simd(), &a, &b.transpose2());
         for (x, y) in c1.data().iter().zip(c2.data()) {
             assert!((x - y).abs() < 1e-4);
         }
         let d = Tensor::randn(&[5, 3], 1.0, &mut rng);
-        let e1 = matmul_tn(&a, &d);
-        let e2 = matmul(&a.transpose2(), &d);
+        let e1 = matmul_tn(active_simd(), &a, &d);
+        let e2 = matmul(active_simd(), &a.transpose2(), &d);
         for (x, y) in e1.data().iter().zip(e2.data()) {
             assert!((x - y).abs() < 1e-4);
         }
@@ -981,7 +926,7 @@ mod tests {
         let mut rng = crate::init::SeededRng::new(2);
         let a = Tensor::randn(&[67, 33], 1.0, &mut rng);
         let b = Tensor::randn(&[33, 41], 1.0, &mut rng);
-        let c = matmul(&a, &b);
+        let c = matmul(active_simd(), &a, &b);
         // Naive reference.
         for i in 0..67 {
             for j in 0..41 {
@@ -999,15 +944,14 @@ mod tests {
         // The property advise_batch relies on: row i of a large GEMM is
         // bit-identical to the same row computed through a 1-row GEMM,
         // even though the two take different (packed vs simple) paths.
-        // Checked per tier through the explicit-simd entry point so a
-        // concurrent test switching the global tier cannot perturb it.
+        // Checked on every instruction set this CPU has.
         let mut rng = crate::init::SeededRng::new(7);
         let a = Tensor::randn(&[64, 48], 1.0, &mut rng);
         let b = Tensor::randn(&[48, 96], 1.0, &mut rng);
         for simd in kernel::available_simds() {
-            let big = matmul_with(simd, &a, &b);
+            let big = matmul(simd, &a, &b);
             for i in [0usize, 1, 31, 63] {
-                let single = matmul_with(simd, &a.slice_rows(i, 1), &b);
+                let single = matmul(simd, &a.slice_rows(i, 1), &b);
                 assert_eq!(
                     big.row(i),
                     single.row(0),
@@ -1016,7 +960,7 @@ mod tests {
                 );
             }
             // Mid-sized batch takes the packed path too; also must agree.
-            let mid = matmul_with(simd, &a.slice_rows(16, 8), &b);
+            let mid = matmul(simd, &a.slice_rows(16, 8), &b);
             for r in 0..8 {
                 assert_eq!(big.row(16 + r), mid.row(r), "{}", simd.name());
             }
@@ -1029,7 +973,7 @@ mod tests {
         for (m, k, n) in [(1, 7, 5), (4, 8, 8), (13, 17, 23), (64, 33, 41), (5, 1, 9)] {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-            let fast = matmul(&a, &b);
+            let fast = matmul(active_simd(), &a, &b);
             let slow = matmul_naive(&a, &b);
             for (x, y) in fast.data().iter().zip(slow.data()) {
                 assert!((x - y).abs() < 1e-4, "{m}x{k}x{n}: {x} vs {y}");
@@ -1043,7 +987,7 @@ mod tests {
         // produce exact zeros where they belong.
         let a = t(&[2, 3], vec![0., 0., 0., 1., 0., 2.]);
         let b = t(&[3, 2], vec![1., 2., 3., 4., 5., 6.]);
-        let c = matmul(&a, &b);
+        let c = matmul(active_simd(), &a, &b);
         assert_eq!(c.data(), &[0., 0., 11., 14.]);
     }
 
@@ -1059,7 +1003,7 @@ mod tests {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[m, n], 1.0, &mut rng);
         for simd in kernel::available_simds() {
-            let whole = matmul_tn_with(simd, &a, &b);
+            let whole = matmul_tn(simd, &a, &b);
             // Anchor against the naive ascending-s reference with the
             // tier's own multiply-add (plain on scalar, fused on avx2 —
             // `f32::mul_add` matches the vector FMA lanes bitwise).
@@ -1119,9 +1063,9 @@ mod tests {
             assert_eq!((pw.k(), pw.n()), (k, n));
             assert_eq!(pw.bytes(), PackedWeights::bytes_for(k, n));
             for simd in kernel::available_simds() {
-                let base = matmul_with(simd, &a, &b);
-                let pre = matmul_prepacked_with(simd, &a, &pw);
-                let unp = matmul_unpacked_with(simd, &a, &b);
+                let base = matmul(simd, &a, &b);
+                let pre = matmul_prepacked(simd, &a, &pw);
+                let unp = matmul_unpacked(simd, &a, &b);
                 assert_eq!(pre.shape(), base.shape());
                 assert_eq!(unp.shape(), base.shape());
                 for (i, (x, y)) in base.data().iter().zip(pre.data()).enumerate() {
@@ -1155,7 +1099,7 @@ mod tests {
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let pw = PackedWeights::pack(&b);
         for simd in kernel::available_simds() {
-            let whole = matmul_prepacked_with(simd, &a, &pw);
+            let whole = matmul_prepacked(simd, &a, &pw);
             for chunk_rows in [1usize, 5, 64, 129] {
                 let mut pieced = vec![0.0f32; m * n];
                 let mut row0 = 0;

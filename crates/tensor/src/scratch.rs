@@ -33,7 +33,7 @@
 //! [`high_water_bytes`] its process-lifetime maximum, mirrored to
 //! the `pragformer_scratch_high_water_bytes` gauge. A stable high-water
 //! mark across repeated forwards is the observable "zero heap growth"
-//! signal (`examples/profile_advise.rs` asserts it after warm-up).
+//! signal (`examples/profile.rs` asserts it after warm-up).
 
 use pragformer_obs as obs;
 use std::cell::RefCell;

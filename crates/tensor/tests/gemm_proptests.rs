@@ -16,14 +16,12 @@
 //! 2. Row slices are batch-size invariant: computing a sub-block alone
 //!    reproduces the same bits as the full product.
 //!
-//! Every assertion drives the explicit-simd `*_with` entry points so the
-//! test neither depends on nor perturbs the process-global tier.
+//! Every assertion names the instruction set it runs on, so the test
+//! does not depend on the process's default plan.
 
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::{available_simds, Simd};
-use pragformer_tensor::ops::{
-    matmul_prepacked_with, matmul_tn_with, matmul_unpacked_with, matmul_with, PackedWeights,
-};
+use pragformer_tensor::ops::{matmul, matmul_prepacked, matmul_tn, matmul_unpacked, PackedWeights};
 use pragformer_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -91,7 +89,7 @@ proptest! {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[m, n], 1.0, &mut rng);
         for simd in available_simds() {
-            let fast = matmul_tn_with(simd, &a, &b);
+            let fast = matmul_tn(simd, &a, &b);
             let slow = matmul_tn_naive_for(simd, &a, &b);
             prop_assert_eq!(fast.shape(), &[k, n]);
             for (i, (x, y)) in fast.data().iter().zip(slow.data()).enumerate() {
@@ -115,7 +113,7 @@ proptest! {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         for simd in available_simds() {
-            let fast = matmul_with(simd, &a, &b);
+            let fast = matmul(simd, &a, &b);
             let slow = matmul_naive_for(simd, &a, &b);
             for (i, (x, y)) in fast.data().iter().zip(slow.data()).enumerate() {
                 prop_assert_eq!(
@@ -143,9 +141,9 @@ proptest! {
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let pw = PackedWeights::pack(&b);
         for simd in available_simds() {
-            let base = matmul_with(simd, &a, &b);
-            let pre = matmul_prepacked_with(simd, &a, &pw);
-            let unp = matmul_unpacked_with(simd, &a, &b);
+            let base = matmul(simd, &a, &b);
+            let pre = matmul_prepacked(simd, &a, &pw);
+            let unp = matmul_unpacked(simd, &a, &b);
             for (i, ((x, y), z)) in base.data().iter().zip(pre.data()).zip(unp.data()).enumerate() {
                 prop_assert_eq!(
                     x.to_bits(), y.to_bits(),
@@ -179,8 +177,8 @@ proptest! {
             col.data_mut()[s] = a.data()[s * k + i];
         }
         for simd in available_simds() {
-            let full = matmul_tn_with(simd, &a, &b);
-            let row = matmul_tn_with(simd, &col, &b);
+            let full = matmul_tn(simd, &a, &b);
+            let row = matmul_tn(simd, &col, &b);
             for j in 0..n {
                 prop_assert_eq!(
                     row.data()[j].to_bits(),

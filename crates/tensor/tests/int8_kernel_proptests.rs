@@ -1,6 +1,7 @@
 //! Property tests for the int8 kernel pair — the integer twin of
-//! `gemm_proptests.rs`, with a stronger claim: `int8-avx2` and
-//! `int8-scalar` are **bitwise identical**, not merely naive-matching.
+//! `gemm_proptests.rs`, with a stronger claim: the `int8` and
+//! `int8-scalar` plans are **bitwise identical**, not merely
+//! naive-matching.
 //!
 //! Exact `i32` accumulation is associative and order-free, per-row
 //! quantization rounds ties-to-even on both paths, and the dequantize
@@ -14,17 +15,27 @@
 //! to quantizing per GEMM — the contract that lets attention share one
 //! quantized input across Q/K/V.
 //!
-//! Every assertion drives the explicit-simd `*_with` entry points so the
-//! test neither depends on nor perturbs the process-global int8 simd.
+//! Every assertion names the plan it runs on, so the test does not
+//! depend on the process's default plan.
 
 use pragformer_tensor::init::SeededRng;
 use pragformer_tensor::kernel::quantize::{
-    matmul_quant_reuse_with, matmul_quant_with, QuantEpilogue, QuantizedActivations,
-    QuantizedMatrix,
+    matmul_quant, matmul_quant_reuse, QuantEpilogue, QuantizedActivations, QuantizedMatrix,
 };
-use pragformer_tensor::kernel::{available_simds, Simd};
+use pragformer_tensor::kernel::InferencePlan;
 use pragformer_tensor::Tensor;
 use proptest::prelude::*;
+
+/// The `int8` and `int8-scalar` plans, or `None` without AVX2.
+fn int8_pair() -> Option<(InferencePlan, InferencePlan)> {
+    let avx2 = InferencePlan::parse("int8").ok()?;
+    Some((avx2, InferencePlan::parse("int8-scalar").expect("int8-scalar runs everywhere")))
+}
+
+/// Every int8 plan this CPU can run.
+fn int8_plans() -> Vec<InferencePlan> {
+    InferencePlan::available().into_iter().filter(|p| p.is_int8()).collect()
+}
 
 /// Asserts two tensors agree bit for bit.
 fn assert_bitwise(what: &str, got: &Tensor, want: &Tensor) -> Result<(), TestCaseError> {
@@ -49,15 +60,15 @@ proptest! {
         n in 1usize..40,
         seed in 0u64..1_000,
     ) {
-        if !available_simds().contains(&Simd::Avx2) {
+        let Some((int8, int8_scalar)) = int8_pair() else {
             return Ok(());
-        }
+        };
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let w = Tensor::randn(&[k, n], 0.5, &mut rng);
         let qw = QuantizedMatrix::quantize(&w);
-        let scalar = matmul_quant_with(Simd::Scalar, &a, &qw);
-        let avx2 = matmul_quant_with(Simd::Avx2, &a, &qw);
+        let scalar = matmul_quant(int8_scalar, &a, &qw);
+        let avx2 = matmul_quant(int8, &a, &qw);
         assert_bitwise(&format!("({m}x{k})·({k}x{n}) int8 avx2-vs-scalar"), &avx2, &scalar)?;
     }
 
@@ -68,9 +79,9 @@ proptest! {
         n in 1usize..32,
         seed in 0u64..1_000,
     ) {
-        if !available_simds().contains(&Simd::Avx2) {
+        let Some((int8, int8_scalar)) = int8_pair() else {
             return Ok(());
-        }
+        };
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let w = Tensor::randn(&[k, n], 0.5, &mut rng);
@@ -83,11 +94,11 @@ proptest! {
             ("bias+residual", QuantEpilogue::BiasResidual(bias.data(), res.data())),
         ];
         for (name, epi) in epilogues {
-            let qa_s = QuantizedActivations::quantize_with(Simd::Scalar, &a);
-            let scalar = matmul_quant_reuse_with(Simd::Scalar, &qa_s, &qw, epi);
+            let qa_s = QuantizedActivations::quantize(int8_scalar.int8_simd(), &a);
+            let scalar = matmul_quant_reuse(int8_scalar, &qa_s, &qw, epi);
             qa_s.recycle();
-            let qa_v = QuantizedActivations::quantize_with(Simd::Avx2, &a);
-            let avx2 = matmul_quant_reuse_with(Simd::Avx2, &qa_v, &qw, epi);
+            let qa_v = QuantizedActivations::quantize(int8.int8_simd(), &a);
+            let avx2 = matmul_quant_reuse(int8, &qa_v, &qw, epi);
             qa_v.recycle();
             assert_bitwise(&format!("({m}x{k})·({k}x{n}) epilogue {name}"), &avx2, &scalar)?;
         }
@@ -102,19 +113,19 @@ proptest! {
     ) {
         // One quantized input feeding three different weight matrices
         // (the attention Q/K/V shape of the reuse path) must reproduce
-        // the per-GEMM requantization bits exactly, per simd.
+        // the per-GEMM requantization bits exactly, per plan.
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let ws: Vec<Tensor> =
             (0..3).map(|_| Tensor::randn(&[k, n], 0.5, &mut rng)).collect();
         let qws: Vec<QuantizedMatrix> = ws.iter().map(QuantizedMatrix::quantize).collect();
-        for simd in available_simds() {
-            let qa = QuantizedActivations::quantize_with(simd, &a);
+        for plan in int8_plans() {
+            let qa = QuantizedActivations::quantize(plan.int8_simd(), &a);
             for (wi, qw) in qws.iter().enumerate() {
-                let reused = matmul_quant_reuse_with(simd, &qa, qw, QuantEpilogue::None);
-                let fresh = matmul_quant_with(simd, &a, qw);
+                let reused = matmul_quant_reuse(plan, &qa, qw, QuantEpilogue::None);
+                let fresh = matmul_quant(plan, &a, qw);
                 assert_bitwise(
-                    &format!("{}: ({m}x{k})·({k}x{n}) consumer {wi} reuse-vs-fresh", simd.name()),
+                    &format!("{}: ({m}x{k})·({k}x{n}) consumer {wi} reuse-vs-fresh", plan.name()),
                     &reused,
                     &fresh,
                 )?;
@@ -132,22 +143,22 @@ proptest! {
     ) {
         // A single activation row computed standalone must reproduce its
         // row of the batched product bit for bit (per-row quantization
-        // depends only on the row itself), per simd.
+        // depends only on the row itself), per plan.
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let w = Tensor::randn(&[k, n], 0.5, &mut rng);
         let qw = QuantizedMatrix::quantize(&w);
         let i = m / 2;
         let row = Tensor::from_vec(&[1, k], a.data()[i * k..(i + 1) * k].to_vec());
-        for simd in available_simds() {
-            let full = matmul_quant_with(simd, &a, &qw);
-            let single = matmul_quant_with(simd, &row, &qw);
+        for plan in int8_plans() {
+            let full = matmul_quant(plan, &a, &qw);
+            let single = matmul_quant(plan, &row, &qw);
             for j in 0..n {
                 prop_assert_eq!(
                     single.data()[j].to_bits(),
                     full.data()[i * n + j].to_bits(),
                     "{}: row {} col {} differs when computed standalone",
-                    simd.name(), i, j
+                    plan.name(), i, j
                 );
             }
         }

@@ -5,14 +5,14 @@
 //! step per element; and the quantized GEMM inherits batch invariance
 //! from its exact integer accumulation.
 //!
-//! All float assertions use the explicit-simd `*_with` entry points so
-//! the tests cover every tier this CPU supports without touching the
-//! process-global tier selection.
+//! Every assertion names the instruction set or plan it runs on, so the
+//! tests cover every one this CPU supports without depending on the
+//! process's default plan.
 
 use pragformer_tensor::init::SeededRng;
-use pragformer_tensor::kernel::available_simds;
 use pragformer_tensor::kernel::quantize::{matmul_quant, QuantizedEmbedding, QuantizedMatrix};
-use pragformer_tensor::ops::{matmul_nt_with, matmul_with};
+use pragformer_tensor::kernel::{available_simds, InferencePlan};
+use pragformer_tensor::ops::{matmul, matmul_nt};
 use pragformer_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -33,9 +33,9 @@ proptest! {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         for simd in available_simds() {
-            let batched = matmul_with(simd, &a, &b);
+            let batched = matmul(simd, &a, &b);
             for i in 0..m {
-                let single = matmul_with(simd, &a.slice_rows(i, 1), &b);
+                let single = matmul(simd, &a.slice_rows(i, 1), &b);
                 for j in 0..n {
                     prop_assert_eq!(
                         batched.data()[i * n + j].to_bits(),
@@ -59,9 +59,9 @@ proptest! {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[n, k], 1.0, &mut rng);
         for simd in available_simds() {
-            let batched = matmul_nt_with(simd, &a, &b);
+            let batched = matmul_nt(simd, &a, &b);
             for i in 0..m {
-                let single = matmul_nt_with(simd, &a.slice_rows(i, 1), &b);
+                let single = matmul_nt(simd, &a.slice_rows(i, 1), &b);
                 for j in 0..n {
                     prop_assert_eq!(
                         batched.data()[i * n + j].to_bits(),
@@ -93,8 +93,8 @@ proptest! {
                 .copy_from_slice(&b.data()[p * n..(p + 1) * n]);
         }
         for simd in available_simds() {
-            let base = matmul_with(simd, &a, &b);
-            let wide = matmul_with(simd, &a, &padded);
+            let base = matmul(simd, &a, &b);
+            let wide = matmul(simd, &a, &padded);
             for i in 0..m {
                 for j in 0..n {
                     prop_assert_eq!(
@@ -172,15 +172,17 @@ proptest! {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let w = Tensor::randn(&[k, n], 1.0, &mut rng);
         let q = QuantizedMatrix::quantize(&w);
-        let batched = matmul_quant(&a, &q);
-        for i in 0..m {
-            let single = matmul_quant(&a.slice_rows(i, 1), &q);
-            for j in 0..n {
-                prop_assert_eq!(
-                    batched.data()[i * n + j].to_bits(),
-                    single.data()[j].to_bits(),
-                    "row {} col {}", i, j
-                );
+        for plan in InferencePlan::available().into_iter().filter(|p| p.is_int8()) {
+            let batched = matmul_quant(plan, &a, &q);
+            for i in 0..m {
+                let single = matmul_quant(plan, &a.slice_rows(i, 1), &q);
+                for j in 0..n {
+                    prop_assert_eq!(
+                        batched.data()[i * n + j].to_bits(),
+                        single.data()[j].to_bits(),
+                        "{}: row {} col {}", plan.name(), i, j
+                    );
+                }
             }
         }
     }

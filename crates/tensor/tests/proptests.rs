@@ -1,5 +1,6 @@
 //! Property-based tests for the tensor engine's core invariants.
 
+use pragformer_tensor::kernel::active_simd;
 use pragformer_tensor::{init::SeededRng, loss, nn, nn::Layer, ops, optim, Tensor};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -22,7 +23,7 @@ proptest! {
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let fast = ops::matmul(&a, &b);
+        let fast = ops::matmul(active_simd(), &a, &b);
         let slow = ops::matmul_naive(&a, &b);
         for (i, (x, y)) in fast.data().iter().zip(slow.data()).enumerate() {
             prop_assert!((x - y).abs() < 1e-4, "{m}x{k}x{n} elem {i}: {x} vs {y}");
@@ -35,7 +36,7 @@ proptest! {
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[n, k], 1.0, &mut rng);
-        let fast = ops::matmul_nt(&a, &b);
+        let fast = ops::matmul_nt(active_simd(), &a, &b);
         let slow = ops::matmul_naive(&a, &b.transpose2());
         for (x, y) in fast.data().iter().zip(slow.data()) {
             prop_assert!((x - y).abs() < 1e-4, "{m}x{k}x{n}: {x} vs {y}");
@@ -48,7 +49,7 @@ proptest! {
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[m, n], 1.0, &mut rng);
-        let fast = ops::matmul_tn(&a, &b);
+        let fast = ops::matmul_tn(active_simd(), &a, &b);
         let slow = ops::matmul_naive(&a.transpose2(), &b);
         for (x, y) in fast.data().iter().zip(slow.data()) {
             prop_assert!((x - y).abs() < 1e-4, "{m}x{k}x{n}: {x} vs {y}");
@@ -62,9 +63,9 @@ proptest! {
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let full = ops::matmul(&a, &b);
+        let full = ops::matmul(active_simd(), &a, &b);
         let i = pick % m;
-        let single = ops::matmul(&a.slice_rows(i, 1), &b);
+        let single = ops::matmul(active_simd(), &a.slice_rows(i, 1), &b);
         prop_assert_eq!(full.row(i), single.row(0));
     }
 
@@ -74,8 +75,8 @@ proptest! {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let c = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let lhs = ops::matmul(&a, &b.add(&c));
-        let rhs = ops::matmul(&a, &b).add(&ops::matmul(&a, &c));
+        let lhs = ops::matmul(active_simd(), &a, &b.add(&c));
+        let rhs = ops::matmul(active_simd(), &a, &b).add(&ops::matmul(active_simd(), &a, &c));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
@@ -87,8 +88,8 @@ proptest! {
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let lhs = ops::matmul(&a, &b).transpose2();
-        let rhs = ops::matmul(&b.transpose2(), &a.transpose2());
+        let lhs = ops::matmul(active_simd(), &a, &b).transpose2();
+        let rhs = ops::matmul(active_simd(), &b.transpose2(), &a.transpose2());
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
